@@ -21,11 +21,22 @@ boundary point.  The three requirements are equivalent to strict polynomial
 inequalities on the Taylor truncations of f, which this module evaluates with
 explicit margins, alongside the direct disk geometry, so algebra and geometry
 can be cross-checked independently.
+
+Condition (iii) at level n is a minimum over 5^(n+1) polynomials (3^(n+1) in
+the single form (iii') used for M0), and all of them share one left-hand
+side, so the smallest margin alone decides the level.  ``certify`` therefore
+keeps one (iii)/(iii') record per n: the worst polynomial, labelled
+``P=...``, found by streaming the polynomials in bounded blocks;
+``failure_reasons`` lists one line per failing n.
+``condition_instar_separation`` still returns every record.  The instar
+clearance of ``verify_chain`` streams the level-n nodes the same way, so
+memory stays flat as the period grows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -153,7 +164,10 @@ def _require_root(f: RationalTypeSeries, lam: complex) -> complex:
 
 def selfsim_center(f: RationalTypeSeries, lam: complex) -> complex:
     """The self-similarity center -f_ell(lambda) / lambda^(ell+1)."""
-    lam = _require_root(f, lam)
+    return _selfsim_center(f, _require_root(f, lam))
+
+
+def _selfsim_center(f: RationalTypeSeries, lam: complex) -> complex:
     ell = f.preperiod
     return -taylor_eval(f, lam, ell) / lam ** (ell + 1)
 
@@ -172,7 +186,10 @@ def chain_disk(f: RationalTypeSeries, lam: complex, n: int) -> ChainDisk:
     """Chain disk n: the reflection of the center's level-n itinerary node
     about the center, with the radius that makes it tangent to that node's
     instar disk."""
-    lam = _require_root(f, lam)
+    return _chain_disk(f, _require_root(f, lam), n)
+
+
+def _chain_disk(f: RationalTypeSeries, lam: complex, n: int) -> ChainDisk:
     ell = f.preperiod
     fl = taylor_eval(f, lam, ell)
     fn = taylor_eval(f, lam, ell + 1 + n)
@@ -191,7 +208,10 @@ def record_inequality(which: str, n: int, lhs: float, rhs: float, flip: bool, la
 def condition_disk_exists(f: RationalTypeSeries, lam: complex, n: int) -> ConditionRecord:
     """|f_{ell+1+n}(lambda)| > (1/2) |lambda|^{ell+n+2} / (1 - |lambda|),
     equivalent to chain disk n having positive radius."""
-    lam = _require_root(f, lam)
+    return _disk_exists(f, _require_root(f, lam), n)
+
+
+def _disk_exists(f: RationalTypeSeries, lam: complex, n: int) -> ConditionRecord:
     ell = f.preperiod
     lhs = abs(taylor_eval(f, lam, ell + 1 + n))
     rhs = 0.5 * abs(lam) ** (ell + n + 2) / (1.0 - abs(lam))
@@ -203,7 +223,10 @@ def condition_consecutive_overlap(
 ) -> ConditionRecord:
     """|f_{ell+1+n}| + |f_{ell+2+n}| > |lambda|^{ell+n+2} / (1 - |lambda|),
     equivalent to chain disks n and n+1 intersecting."""
-    lam = _require_root(f, lam)
+    return _consecutive_overlap(f, _require_root(f, lam), n)
+
+
+def _consecutive_overlap(f: RationalTypeSeries, lam: complex, n: int) -> ConditionRecord:
     ell = f.preperiod
     lhs = abs(taylor_eval(f, lam, ell + 1 + n)) + abs(taylor_eval(f, lam, ell + 2 + n))
     rhs = abs(lam) ** (ell + n + 2) / (1.0 - abs(lam))
@@ -218,6 +241,45 @@ def _separation_params(variant: str) -> tuple[int, tuple[int, ...], str]:
     raise ValueError(f"variant must be 'doubled' or 'single', got {variant!r}")
 
 
+@dataclass(frozen=True)
+class _Separation:
+    """Condition (iii) or (iii') at level n, up to the choice of P."""
+
+    which: str
+    n: int
+    values: tuple[int, ...]
+    q: tuple[int, ...]
+    lhs: float
+    base: complex
+    scale: complex
+    powers: tuple[complex, ...]
+
+    def record(self, coeffs: tuple[int, ...]) -> ConditionRecord:
+        pval = sum(c * w for c, w in zip(coeffs, self.powers))
+        rhs = abs(self.base + self.scale * pval)
+        label = "P=" + ",".join(str(c) for c in coeffs)
+        return record_inequality(self.which, self.n, self.lhs, rhs, flip=True, label=label)
+
+
+def _separation(
+    f: RationalTypeSeries, lam: complex, n: int, variant: str
+) -> _Separation:
+    if n > 12:
+        raise EnumerationTooLarge(f"5^(n+1) enumeration refused for n={n} > 12")
+    factor, values, which = _separation_params(variant)
+    ell = f.preperiod
+    return _Separation(
+        which=which,
+        n=n,
+        values=values,
+        q=tuple(factor * coeff_at(f, ell + 1 + j) for j in range(n + 1)),
+        lhs=factor * abs(taylor_eval(f, lam, ell + 1 + n)),
+        base=factor * taylor_eval(f, lam, ell),
+        scale=lam ** (ell + 1),
+        powers=tuple(lam**j for j in range(n + 1)),
+    )
+
+
 def condition_instar_separation(
     f: RationalTypeSeries, lam: complex, n: int, variant: str = "doubled"
 ) -> list[ConditionRecord]:
@@ -228,27 +290,89 @@ def condition_instar_separation(
     single form drops the factor 2 and restricts P to {-1, 0, +1}.  The one
     excluded polynomial Q (coefficients 2*c_{ell+1+j}, resp. c_{ell+1+j}) is
     matched by exact integer comparison and corresponds to the tangent disk.
+    Records come in itertools.product order of the coefficients.
     """
     lam = _require_root(f, lam)
-    if n > 12:
-        raise EnumerationTooLarge(f"5^(n+1) enumeration refused for n={n} > 12")
-    factor, values, which = _separation_params(variant)
-    ell = f.preperiod
-    q = tuple(factor * coeff_at(f, ell + 1 + j) for j in range(n + 1))
-    fl = taylor_eval(f, lam, ell)
-    fn = taylor_eval(f, lam, ell + 1 + n)
-    lhs = factor * abs(fn)
-    scale = lam ** (ell + 1)
-    powers = [lam**j for j in range(n + 1)]
-    records = []
-    for coeffs in itertools.product(values, repeat=n + 1):
-        if coeffs == q:
-            continue
-        pval = sum(c * w for c, w in zip(coeffs, powers))
-        rhs = abs(factor * fl + scale * pval)
-        label = "P=" + ",".join(str(c) for c in coeffs)
-        records.append(record_inequality(which, n, lhs, rhs, flip=True, label=label))
-    return records
+    sep = _separation(f, lam, n, variant)
+    return [
+        sep.record(coeffs)
+        for coeffs in itertools.product(sep.values, repeat=n + 1)
+        if coeffs != sep.q
+    ]
+
+
+#: Nodes per block of the level walker; its working memory is a few arrays
+#: of this many complex values at any level.
+_BLOCK_NODES = 1 << 14
+
+
+def _level_blocks(lam: complex, level: int, signs: np.ndarray):
+    """Nodes sum a_j lambda^j of all words a_0..a_level over ``signs``, in
+    lexicographic order, as consecutive blocks of at most _BLOCK_NODES.
+
+    The top levels are grown once; each block grows a run of those prefixes
+    to the leaves with the fold of ifs.level_nodes, so every node has the
+    bits it has in the full enumeration."""
+    k = signs.size
+    depth = 0
+    while k ** (level - depth) > _BLOCK_NODES:
+        depth += 1
+    prefixes = ifs._grow_nodes(signs, lam, depth, signs)
+    power = complex(1.0)
+    for _ in range(depth):
+        power *= lam
+    step = _BLOCK_NODES // k ** (level - depth)
+    for start in range(0, prefixes.size, step):
+        yield ifs._grow_nodes(
+            prefixes[start:start + step], lam, level - depth, signs, power
+        )
+
+
+def _word(index: int, values: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """The index-th word of itertools.product(values, repeat=length)."""
+    letters = []
+    for _ in range(length):
+        index, digit = divmod(index, len(values))
+        letters.append(values[digit])
+    return tuple(reversed(letters))
+
+
+def _worst_separation(
+    f: RationalTypeSeries, lam: complex, n: int, variant: str
+) -> ConditionRecord:
+    """The record of condition_instar_separation with the smallest margin,
+    the first in enumeration order among equal margins, without building
+    the others.
+
+    The walker's nodes and numpy's arithmetic only approximate the scalar
+    right-hand sides, so every polynomial scoring within ``slack`` of the
+    smallest score is rescored with the scalar expression.  The slack
+    exceeds the rounding gap between the two evaluations, and the gap
+    between right-hand sides whose margins round to the same value, by
+    orders of magnitude.
+    """
+    sep = _separation(f, lam, n, variant)
+    k = len(sep.values)
+    skip = 0
+    for c in sep.q:
+        skip = skip * k + sep.values.index(c)
+    reach = max(sep.values) * sum(abs(w) for w in sep.powers)
+    slack = 1e-9 * (sep.lhs + abs(sep.base) + abs(sep.scale) * reach)
+    best, found, offset = math.inf, [], 0
+    for nodes in _level_blocks(lam, n, np.array(sep.values, dtype=np.complex128)):
+        scores = np.abs(sep.base + sep.scale * nodes)
+        if offset <= skip < offset + scores.size:
+            scores[skip - offset] = np.inf
+        best = min(best, float(scores.min()))
+        near = np.flatnonzero(scores <= best + slack)
+        found.extend(zip(scores[near].tolist(), (near + offset).tolist()))
+        offset += scores.size
+    records = [
+        sep.record(_word(index, sep.values, n + 1))
+        for score, index in found
+        if score <= best + slack
+    ]
+    return min(records, key=lambda r: r.margin)
 
 
 def weakened_conditions(
@@ -290,10 +414,7 @@ def weakened_conditions(
         lhs = abs(fj) + abs(fj1) - 0.5 * abs(fj - fj1)
         rhs = 0.5 * (absl ** (ell + 2 + kj) + absl ** (ell + 2 + kj1)) * R
         records.append(record_inequality("w-ii", kj, lhs, rhs, flip=False, label=label))
-        worst = min(
-            condition_instar_separation(f, lam, kj, variant="single"),
-            key=lambda r: r.margin,
-        )
+        worst = _worst_separation(f, lam, kj, "single")
         records.append(replace(worst, which="w-iii", label=f"{label},{worst.label}"))
     return records
 
@@ -301,11 +422,14 @@ def weakened_conditions(
 def periodicity_residual(f: RationalTypeSeries, lam: complex, n: int) -> float:
     """|lambda^p (omega_n - center) - (omega_{n+p} - center)|: one period of
     the chain must be the lambda^p-scaled image of the previous one."""
-    lam = _require_root(f, lam)
+    return _periodicity_residual(f, _require_root(f, lam), n)
+
+
+def _periodicity_residual(f: RationalTypeSeries, lam: complex, n: int) -> float:
     p = f.period
-    z = selfsim_center(f, lam)
-    a = chain_disk(f, lam, n).center
-    b = chain_disk(f, lam, n + p).center
+    z = _selfsim_center(f, lam)
+    a = _chain_disk(f, lam, n).center
+    b = _chain_disk(f, lam, n + p).center
     return abs(lam**p * (a - z) - (b - z))
 
 
@@ -322,7 +446,7 @@ def parameter_probe(f: RationalTypeSeries, lam: complex, b: complex, n: int) -> 
     fp = derivative_eval(f, lam)
     if abs(fp) < 1e-12:
         raise DerivativeVanished(f"|f'(lambda)| = {abs(fp):.3e} too small")
-    z = selfsim_center(f, lam)
+    z = _selfsim_center(f, lam)
     ell, p = f.preperiod, f.period
     return lam + lam ** (p * n) * (lam ** (ell + 1) / fp) * (complex(b) - z)
 
@@ -346,24 +470,40 @@ def verify_chain(
     lam = _require_root(f, lam)
     if periods_checked < 1:
         raise ValueError("periods_checked must be >= 1")
+    return _verify_chain(f, lam, periods_checked, target)
+
+
+def _instar_clearance(
+    lam: complex, n: int, signs: np.ndarray, disk: ChainDisk, znode: complex
+) -> float:
+    """Smallest gap between ``disk`` and the level-n instar disks, leaving
+    out the tangent one: nodes within 1e-9 (1 + |znode|) of ``znode``."""
+    reach = disk.radius + ifs.nodal_radius(lam, n)
+    tol = 1e-9 * (1.0 + abs(znode))
+    best = math.inf
+    for nodes in _level_blocks(lam, n, signs):
+        keep = np.abs(nodes - znode) > tol
+        clearance = np.abs(nodes[keep] - disk.center) - reach
+        best = min(best, float(np.min(clearance, initial=np.inf)))
+    return best
+
+
+def _verify_chain(
+    f: RationalTypeSeries, lam: complex, periods_checked: int, target: str
+) -> ChainGeometry:
     p = f.period
     count = periods_checked * p
     if count > 14:
         raise LevelTooDeep(f"{count} chain levels exceed the guard of 14")
     alphabet = ifs.TERNARY if target == "M" else ifs.BINARY
-    disks = [chain_disk(f, lam, n) for n in range(count + 1)]
+    signs = np.array(ifs._signs(alphabet), dtype=np.complex128)
+    disks = [_chain_disk(f, lam, n) for n in range(count + 1)]
     levels = []
     for n in range(count):
         dn, dn1 = disks[n], disks[n + 1]
         gap = abs(dn.center - dn1.center)
         connect_margin = dn.radius + dn1.radius - gap
-        znode = center_node(f, lam, n)
-        nodes = ifs.level_nodes(lam, n, alphabet)
-        keep = np.abs(nodes - znode) > 1e-9 * (1.0 + abs(znode))
-        clearance = np.abs(nodes[keep] - dn.center) - (
-            dn.radius + ifs.nodal_radius(lam, n)
-        )
-        disjoint_margin = float(np.min(clearance))
+        disjoint_margin = _instar_clearance(lam, n, signs, dn, center_node(f, lam, n))
         if n == 0:
             contained, residual = None, None
         else:
@@ -400,6 +540,10 @@ def certify(f: RationalTypeSeries, lam: complex, target: str = "M") -> Certifica
     give "failed" with reasons.  For target M0 the series must additionally
     have no zero coefficients.  A zero-free series certified for M is flagged
     as lying on the shared boundary of both loci.
+
+    ``conditions`` holds (i), (ii) and the worst (iii)/(iii') polynomial for
+    each n < p; the other polynomials of that n share its left-hand side
+    and have larger margins, so they cannot change the verdict.
     """
     if target not in ("M", "M0"):
         raise ValueError(f"target must be 'M' or 'M0', got {target!r}")
@@ -417,13 +561,13 @@ def certify(f: RationalTypeSeries, lam: complex, target: str = "M") -> Certifica
         variant = "doubled" if target == "M" else "single"
         conditions: list[ConditionRecord] = []
         for n in range(p):
-            conditions.append(condition_disk_exists(f, lam, n))
-            conditions.append(condition_consecutive_overlap(f, lam, n))
-            conditions.extend(condition_instar_separation(f, lam, n, variant))
-        geometry = verify_chain(f, lam, periods_checked=2, target=target)
-        chain = tuple(chain_disk(f, lam, n) for n in range(2 * p + 1))
-        residuals = tuple(periodicity_residual(f, lam, n) for n in range(2 * p))
-        center = selfsim_center(f, lam)
+            conditions.append(_disk_exists(f, lam, n))
+            conditions.append(_consecutive_overlap(f, lam, n))
+            conditions.append(_worst_separation(f, lam, n, variant))
+        geometry = _verify_chain(f, lam, 2, target)
+        chain = tuple(_chain_disk(f, lam, n) for n in range(2 * p + 1))
+        residuals = tuple(_periodicity_residual(f, lam, n) for n in range(2 * p))
+        center = _selfsim_center(f, lam)
 
         near_band = False
         for rec in conditions:

@@ -211,6 +211,12 @@ def cmd_attractor(
     return EXIT_OK
 
 
+def _series_root(series: RationalTypeSeries, seed: complex) -> complex:
+    """Newton root of the series' numerator from ``seed``; InvalidLambda when
+    it lands outside 0 < |lambda| < 1, where the series does not converge."""
+    return paramspace._check_lambda(newton_root(numerator_polynomial(series), seed))
+
+
 def cmd_certify(
     series: RationalTypeSeries,
     seed: complex,
@@ -218,7 +224,7 @@ def cmd_certify(
     out: str | None,
     command: list[str],
 ) -> int:
-    lam = newton_root(numerator_polynomial(series), seed)
+    lam = _series_root(series, seed)
     report = certificate.certify(series, lam, target=target)
     payload = certificate.report_to_dict(report)
     doc = envelope(command, payload)
@@ -341,7 +347,7 @@ def main(argv=None) -> int:
             lam = _parse_complex(args.seed, "--seed")
             series = RationalTypeSeries.parse(args.series) if args.series else None
             if series is not None:
-                lam = newton_root(numerator_polynomial(series), lam)
+                lam = _series_root(series, lam)
             w, h = (int(v) for v in _parse_floats(args.px, 2, "--px"))
             window = (
                 _parse_floats(args.window, 4, "--window") if args.window else None

@@ -105,9 +105,16 @@ def node(word: Word, lam: complex) -> complex:
     return acc
 
 
-def _grow_nodes(start: np.ndarray, lam: complex, level: int, signs: np.ndarray) -> np.ndarray:
+def _grow_nodes(
+    start: np.ndarray, lam: complex, level: int, signs: np.ndarray,
+    power: complex = complex(1.0),
+) -> np.ndarray:
+    """Extend every start node by ``level`` more letters, lexicographically.
+
+    ``power`` is the weight lambda^k of the last letter of the start words
+    (length k+1), built by the same repeated multiplication as here, so
+    growing a block of prefixes gives the bits of growing the whole level."""
     nodes = start
-    power = complex(1.0)
     for _ in range(level):
         power *= lam
         nodes = (nodes[:, None] + signs[None, :] * power).ravel()

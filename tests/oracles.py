@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from ifslab.ifs import level_nodes, nodal_radius
 from ifslab.paramspace import PRUNE_GUARD
 
 
@@ -39,3 +40,13 @@ def exhaustive_verdict(lam, set_kind, depth):
 def taylor_naive(coeff_fn, lam, k):
     """Power-sum Taylor evaluation using an explicit coefficient callback."""
     return sum(coeff_fn(j) * lam**j for j in range(k + 1))
+
+
+def instar_clearance_full(lam, n, alphabet, center, radius, znode):
+    """Chain-disk clearance from the whole level-n node array at once: the
+    smallest gap to an instar disk whose node is not within
+    1e-9 (1 + |znode|) of the tangent node ``znode``."""
+    nodes = level_nodes(lam, n, alphabet)
+    keep = np.abs(nodes - znode) > 1e-9 * (1.0 + abs(znode))
+    clearance = np.abs(nodes[keep] - center) - (radius + nodal_radius(lam, n))
+    return float(np.min(clearance))

@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from ifslab import (
@@ -25,9 +26,19 @@ from ifslab import (
     verify_chain,
     weakened_conditions,
 )
-from ifslab.certificate import center_node, record_inequality
-from ifslab.ifs import nodal_radius
+from ifslab import certificate
+from ifslab.certificate import (
+    _instar_clearance,
+    _level_blocks,
+    _worst_separation,
+    center_node,
+    record_inequality,
+)
+from ifslab.ifs import BINARY, TERNARY, _signs, level_nodes, nodal_radius
 from ifslab.series import derivative_eval, taylor_eval
+
+from conftest import random_rooted_series
+from oracles import instar_clearance_full
 
 
 class TestSelfSimCenter:
@@ -340,6 +351,69 @@ class TestEquivalence:
                     r.passed for r in condition_instar_separation(f, lam, n, "doubled")
                 )
                 assert algebra_ok == geo.levels[n].disjoint, (i, n)
+
+
+@pytest.mark.filterwarnings("ignore::ifslab.HypothesisViolated")
+class TestStreamedCertificate:
+    """The block-streamed (iii) search and instar clearance against the
+    exhaustive enumerations, at the default block size and at a small one
+    whose blocks end inside the prefix runs."""
+
+    BLOCKS = (certificate._BLOCK_NODES, 20)
+
+    @pytest.mark.parametrize("variant", ["doubled", "single"])
+    def test_worst_separation_is_the_enumeration_minimum(self, rng, monkeypatch, variant):
+        # at these roots several polynomials tie for the smallest margin at
+        # n=3: at both in the doubled form, at the second in the single form
+        cases = [
+            (f, newton_root(numerator_polynomial(f), seed))
+            for f, seed in (
+                (RationalTypeSeries.parse("1;-1,0"), 0.62 + 0j),
+                (RationalTypeSeries.parse("1,0,0;1,1,-1"), -0.66 + 0.56j),
+            )
+        ]
+        cases += [random_rooted_series(rng, period) for period in (2, 5)]
+        for f, lam in cases:
+            for n in range(7):
+                oracle = min(
+                    condition_instar_separation(f, lam, n, variant),
+                    key=lambda r: r.margin,
+                )
+                for block in self.BLOCKS:
+                    monkeypatch.setattr(certificate, "_BLOCK_NODES", block)
+                    worst = _worst_separation(f, lam, n, variant)
+                    assert worst == oracle, (f, lam, n, block)
+                    assert worst.margin.hex() == oracle.margin.hex()
+                    assert worst.rhs.hex() == oracle.rhs.hex()
+
+    @pytest.mark.parametrize("alphabet", [TERNARY, BINARY])
+    def test_block_clearance_equals_full_level(self, rng, monkeypatch, alphabet):
+        f, lam = random_rooted_series(rng, 3)
+        signs = np.array(_signs(alphabet), dtype=np.complex128)
+        for block in self.BLOCKS:
+            monkeypatch.setattr(certificate, "_BLOCK_NODES", block)
+            for n in range(12):
+                nodes = np.concatenate(list(_level_blocks(lam, n, signs)))
+                assert nodes.tobytes() == level_nodes(lam, n, alphabet).tobytes()
+                disk, znode = chain_disk(f, lam, n), center_node(f, lam, n)
+                got = _instar_clearance(lam, n, signs, disk, znode)
+                want = instar_clearance_full(
+                    lam, n, alphabet, disk.center, disk.radius, znode
+                )
+                assert got.hex() == want.hex(), (f, lam, n, block)
+
+    @pytest.mark.parametrize("target, which", [("M", "iii"), ("M0", "iii'")])
+    def test_period7_report_has_one_record_per_condition_and_level(
+        self, rng, target, which
+    ):
+        f, lam = random_rooted_series(rng, 7)
+        report = certify(f, lam, target=target)
+        keys = [(r.which, r.n) for r in report.conditions]
+        assert len(keys) == len(set(keys)) == 3 * 7
+        assert set(keys) == {(w, n) for w in ("i", "ii", which) for n in range(7)}
+        failing = [r for r in report.conditions if r.which == which and not r.passed]
+        lines = [r for r in report.failure_reasons if r.startswith(f"condition ({which})")]
+        assert len(lines) == len(failing)
 
 
 class TestReportRoundTrip:

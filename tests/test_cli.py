@@ -150,6 +150,14 @@ class TestAttractor:
         ])
         assert code == 2
 
+    def test_series_root_outside_disk_exit_code(self, tmp_path):
+        # Newton from 5+5i converges to the root ~1.234 outside the unit disk
+        code = main([
+            "attractor", "--seed=5,5", "--series", "1;1,1,-1", "--depth", "4",
+            "--px", "20,20", "--out", str(tmp_path / "x.ppm"),
+        ])
+        assert code == 3
+
     def test_unknown_overlay(self, tmp_path):
         code = main([
             "attractor", "--seed", "0.6,0.25", "--depth", "8", "--set", "m",
@@ -211,6 +219,16 @@ class TestCertify:
             "--out", str(tmp_path / "x.json"),
         ])
         assert code == 3
+
+
+    def test_root_outside_disk_exit_code(self, tmp_path):
+        # Newton from 5+5i converges to the root ~1.234 outside the unit disk
+        out = tmp_path / "x.json"
+        code = main([
+            "certify", "--series", "1;1,1,-1", "--seed=5,5", "--out", str(out),
+        ])
+        assert code == 3
+        assert not out.exists()
 
 
 class TestLandmarksCommand:
