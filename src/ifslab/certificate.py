@@ -301,33 +301,6 @@ def condition_instar_separation(
     ]
 
 
-#: Nodes per block of the level walker; its working memory is a few arrays
-#: of this many complex values at any level.
-_BLOCK_NODES = 1 << 14
-
-
-def _level_blocks(lam: complex, level: int, signs: np.ndarray):
-    """Nodes sum a_j lambda^j of all words a_0..a_level over ``signs``, in
-    lexicographic order, as consecutive blocks of at most _BLOCK_NODES.
-
-    The top levels are grown once; each block grows a run of those prefixes
-    to the leaves with the fold of ifs.level_nodes, so every node has the
-    bits it has in the full enumeration."""
-    k = signs.size
-    depth = 0
-    while k ** (level - depth) > _BLOCK_NODES:
-        depth += 1
-    prefixes = ifs._grow_nodes(signs, lam, depth, signs)
-    power = complex(1.0)
-    for _ in range(depth):
-        power *= lam
-    step = _BLOCK_NODES // k ** (level - depth)
-    for start in range(0, prefixes.size, step):
-        yield ifs._grow_nodes(
-            prefixes[start:start + step], lam, level - depth, signs, power
-        )
-
-
 def _word(index: int, values: tuple[int, ...], length: int) -> tuple[int, ...]:
     """The index-th word of itertools.product(values, repeat=length)."""
     letters = []
@@ -359,7 +332,8 @@ def _worst_separation(
     reach = max(sep.values) * sum(abs(w) for w in sep.powers)
     slack = 1e-9 * (sep.lhs + abs(sep.base) + abs(sep.scale) * reach)
     best, found, offset = math.inf, [], 0
-    for nodes in _level_blocks(lam, n, np.array(sep.values, dtype=np.complex128)):
+    signs = np.array(sep.values, dtype=np.complex128)
+    for nodes in ifs._level_blocks(lam, n, signs):
         scores = np.abs(sep.base + sep.scale * nodes)
         if offset <= skip < offset + scores.size:
             scores[skip - offset] = np.inf
@@ -422,15 +396,17 @@ def weakened_conditions(
 def periodicity_residual(f: RationalTypeSeries, lam: complex, n: int) -> float:
     """|lambda^p (omega_n - center) - (omega_{n+p} - center)|: one period of
     the chain must be the lambda^p-scaled image of the previous one."""
-    return _periodicity_residual(f, _require_root(f, lam), n)
+    lam = _require_root(f, lam)
+    return _periodicity_residual(
+        lam, f.period, _selfsim_center(f, lam),
+        _chain_disk(f, lam, n), _chain_disk(f, lam, n + f.period),
+    )
 
 
-def _periodicity_residual(f: RationalTypeSeries, lam: complex, n: int) -> float:
-    p = f.period
-    z = _selfsim_center(f, lam)
-    a = _chain_disk(f, lam, n).center
-    b = _chain_disk(f, lam, n + p).center
-    return abs(lam**p * (a - z) - (b - z))
+def _periodicity_residual(
+    lam: complex, p: int, z: complex, dn: ChainDisk, dnp: ChainDisk
+) -> float:
+    return abs(lam**p * (dn.center - z) - (dnp.center - z))
 
 
 def parameter_probe(f: RationalTypeSeries, lam: complex, b: complex, n: int) -> complex:
@@ -470,7 +446,8 @@ def verify_chain(
     lam = _require_root(f, lam)
     if periods_checked < 1:
         raise ValueError("periods_checked must be >= 1")
-    return _verify_chain(f, lam, periods_checked, target)
+    disks = [_chain_disk(f, lam, n) for n in range(periods_checked * f.period + 1)]
+    return _verify_chain(f, lam, periods_checked, target, disks)
 
 
 def _instar_clearance(
@@ -481,7 +458,7 @@ def _instar_clearance(
     reach = disk.radius + ifs.nodal_radius(lam, n)
     tol = 1e-9 * (1.0 + abs(znode))
     best = math.inf
-    for nodes in _level_blocks(lam, n, signs):
+    for nodes in ifs._level_blocks(lam, n, signs):
         keep = np.abs(nodes - znode) > tol
         clearance = np.abs(nodes[keep] - disk.center) - reach
         best = min(best, float(np.min(clearance, initial=np.inf)))
@@ -489,15 +466,15 @@ def _instar_clearance(
 
 
 def _verify_chain(
-    f: RationalTypeSeries, lam: complex, periods_checked: int, target: str
+    f: RationalTypeSeries, lam: complex, periods_checked: int, target: str,
+    disks: list[ChainDisk],
 ) -> ChainGeometry:
-    p = f.period
-    count = periods_checked * p
+    """The geometry of ``verify_chain`` from chain disks 0..periods_checked*p."""
+    count = periods_checked * f.period
     if count > 14:
         raise LevelTooDeep(f"{count} chain levels exceed the guard of 14")
     alphabet = ifs.TERNARY if target == "M" else ifs.BINARY
     signs = np.array(ifs._signs(alphabet), dtype=np.complex128)
-    disks = [_chain_disk(f, lam, n) for n in range(count + 1)]
     levels = []
     for n in range(count):
         dn, dn1 = disks[n], disks[n + 1]
@@ -564,10 +541,16 @@ def certify(f: RationalTypeSeries, lam: complex, target: str = "M") -> Certifica
             conditions.append(_disk_exists(f, lam, n))
             conditions.append(_consecutive_overlap(f, lam, n))
             conditions.append(_worst_separation(f, lam, n, variant))
-        geometry = _verify_chain(f, lam, 2, target)
-        chain = tuple(_chain_disk(f, lam, n) for n in range(2 * p + 1))
-        residuals = tuple(_periodicity_residual(f, lam, n) for n in range(2 * p))
+        # disks 0..3p-1: the two checked periods and the one the residuals
+        # compare the second of them with
+        disks = [_chain_disk(f, lam, n) for n in range(3 * p)]
         center = _selfsim_center(f, lam)
+        geometry = _verify_chain(f, lam, 2, target, disks)
+        chain = tuple(disks[:2 * p + 1])
+        residuals = tuple(
+            _periodicity_residual(lam, p, center, disks[n], disks[n + p])
+            for n in range(2 * p)
+        )
 
         near_band = False
         for rec in conditions:

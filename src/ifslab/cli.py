@@ -7,17 +7,20 @@ Subcommands:
   certify    run the accessibility certificate, write a JSON report
   landmarks  evaluate the six landmark fixtures and their expectations
 
+``--px W,H`` takes two integers >= 1 and ``--window x0,y0,x1,y1`` four finite
+floats with x0 < x1 and y0 < y1, for ``render`` and ``attractor`` alike.
+
 Exit codes: 0 success, 1 expectation failure, 2 usage/parse error, 3 numeric
-failure.  Images are binary PPM (P6) and byte-identical for identical inputs
-regardless of --threads.
+failure.  Images are binary PPM (P6) and byte-identical for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass
 
@@ -43,28 +46,43 @@ class RenderConfig:
     depth: int
     set_kind: str
     out: str
-    threads: int = 1
 
     def __post_init__(self):
-        x0, y0, x1, y1 = self.window
-        if not (x0 < x1 and y0 < y1):
-            raise ParseError("window must satisfy x0 < x1 and y0 < y1")
-        if self.width < 1 or self.height < 1 or self.depth < 1:
-            raise ParseError("pixel counts and depth must be >= 1")
+        # the window and the pixel counts are checked by their parsers
+        if self.depth < 1:
+            raise ParseError("--depth must be >= 1")
 
 
-def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
+def _parse_csv(text: str, count: int, what: str, kind=float) -> tuple:
     parts = text.split(",")
     if len(parts) != count:
         raise ParseError(f"{what} needs {count} comma-separated values, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(kind(p) for p in parts)
     except ValueError as exc:
         raise ParseError(f"bad {what} value in {text!r}: {exc}") from None
 
 
+def _parse_px(text: str) -> tuple[int, int]:
+    """``--px W,H``: two integers >= 1."""
+    width, height = _parse_csv(text, 2, "--px", int)
+    if width < 1 or height < 1:
+        raise ParseError(f"--px values must be >= 1, got {text!r}")
+    return width, height
+
+
+def _parse_window(text: str) -> tuple[float, float, float, float]:
+    """``--window x0,y0,x1,y1``: four finite floats, x0 < x1 and y0 < y1."""
+    x0, y0, x1, y1 = window = _parse_csv(text, 4, "--window")
+    if not all(math.isfinite(v) for v in window):
+        raise ParseError(f"--window values must be finite, got {text!r}")
+    if not (x0 < x1 and y0 < y1):
+        raise ParseError(f"--window must satisfy x0 < x1 and y0 < y1, got {text!r}")
+    return window
+
+
 def _parse_complex(text: str, what: str) -> complex:
-    re, im = _parse_floats(text, 2, what)
+    re, im = _parse_csv(text, 2, what)
     return complex(re, im)
 
 
@@ -73,18 +91,6 @@ def _parse_set(text: str) -> str:
     if kind is None:
         raise ParseError(f"--set must be m or m0, got {text!r}")
     return kind
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("IFS_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParseError(f"IFS_LAB_THREADS={env!r} is not an integer") from None
-    return 1
 
 
 def write_ppm(path: str, rgb: np.ndarray) -> None:
@@ -120,8 +126,7 @@ def _write_json(path: str, data: dict) -> None:
 
 def cmd_render(config: RenderConfig, command: list[str], report_path: str | None = None) -> int:
     grid = paramspace.escape_grid(
-        config.window, config.width, config.height, config.set_kind, config.depth,
-        threads=config.threads,
+        config.window, config.width, config.height, config.set_kind, config.depth
     )
     rgb = grid_to_rgb(grid)
     write_ppm(config.out, rgb)
@@ -281,7 +286,9 @@ def cmd_landmarks(ids, out: str | None, command: list[str]) -> int:
     return EXIT_OK if all(oc.expected_ok for oc in outcomes) else EXIT_EXPECTATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="ifslab",
         description="Attractors, parameter loci, and accessibility certificates "
@@ -296,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--depth", type=int, default=40)
     render.add_argument("--set", default="m", help="m or m0")
     render.add_argument("--out", required=True)
-    render.add_argument("--threads", type=int, default=None)
     render.add_argument("--report", default=None, help="optional JSON summary path")
 
     attractor = sub.add_parser("attractor", help="attractor point raster")
@@ -335,24 +341,25 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "render":
-            x0, y0, x1, y1 = _parse_floats(args.window, 4, "--window")
-            w, h = (int(v) for v in _parse_floats(args.px, 2, "--px"))
+            w, h = _parse_px(args.px)
             config = RenderConfig(
-                (x0, y0, x1, y1), w, h, args.depth, _parse_set(args.set), args.out,
-                threads=_resolve_threads(args.threads),
+                _parse_window(args.window), w, h, args.depth, _parse_set(args.set),
+                args.out,
             )
             return cmd_render(config, argv, args.report)
 
         if args.command == "attractor":
-            lam = _parse_complex(args.seed, "--seed")
+            seed = _parse_complex(args.seed, "--seed")
             series = RationalTypeSeries.parse(args.series) if args.series else None
-            if series is not None:
-                lam = _series_root(series, lam)
-            w, h = (int(v) for v in _parse_floats(args.px, 2, "--px"))
-            window = (
-                _parse_floats(args.window, 4, "--window") if args.window else None
-            )
+            w, h = _parse_px(args.px)
+            window = _parse_window(args.window) if args.window else None
+            if args.depth < 0 or args.level < 0:
+                raise ParseError("--depth and --level must be >= 0")
             alphabet = ifs.TERNARY if _parse_set(args.set) == paramspace.SET_M else ifs.BINARY
+            if series is None:
+                lam = paramspace._check_lambda(seed)
+            else:
+                lam = _series_root(series, seed)
             return cmd_attractor(
                 lam, args.depth, alphabet, window, w, h, args.out,
                 overlay=args.overlay, overlay_level=args.level, series=series,

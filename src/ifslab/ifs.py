@@ -6,7 +6,9 @@ nu_w = sum a_j lambda^j and the nodal disk of radius |lambda|^{k+1} * R
 around it, R = (1 - |lambda|)^{-1}.  The union of nodal disks over all words
 of a fixed length is the instar at that level; instars shrink onto the
 attractor.  Enumeration is always lexicographic with minus < center < plus,
-so outputs are deterministic.
+so outputs are deterministic.  Whole levels (``level_nodes``) and bounded
+blocks of a level (``_level_blocks``, which the certificate streams) are
+built by one fold, so a node has the same bits either way.
 """
 
 from __future__ import annotations
@@ -105,20 +107,26 @@ def node(word: Word, lam: complex) -> complex:
     return acc
 
 
+#: Nodes per block of ``_level_blocks``; its working memory is a few arrays
+#: of this many complex values at any level.
+_BLOCK_NODES = 1 << 14
+
+
 def _grow_nodes(
     start: np.ndarray, lam: complex, level: int, signs: np.ndarray,
     power: complex = complex(1.0),
-) -> np.ndarray:
+) -> tuple[np.ndarray, complex]:
     """Extend every start node by ``level`` more letters, lexicographically.
 
     ``power`` is the weight lambda^k of the last letter of the start words
-    (length k+1), built by the same repeated multiplication as here, so
+    (length k+1); the weight of the last letter of the grown words is
+    returned with them.  Every node of a level is built by this one fold, so
     growing a block of prefixes gives the bits of growing the whole level."""
     nodes = start
     for _ in range(level):
         power *= lam
         nodes = (nodes[:, None] + signs[None, :] * power).ravel()
-    return nodes
+    return nodes, power
 
 
 def level_nodes(
@@ -127,25 +135,35 @@ def level_nodes(
     """All nodes of words of length level+1, lexicographic order.
 
     Vectorized enumeration: extending every length-k prefix by each letter in
-    order reproduces the lexicographic order of itertools.product.  The
-    parallelism hint splits the top-level branches across threads; each
-    branch runs the identical per-element fold, so the merged output is
-    bitwise equal to the sequential one.
+    order reproduces the lexicographic order of itertools.product.
+
+    ``threads`` is accepted and ignored: the fold holds the interpreter lock
+    for nearly all its work, so threads never made it faster.  The keyword
+    remains only because the benchmark's thread probe passes it, and is
+    removed together with that probe.
     """
     _check_level(level, alphabet)
-    lam = complex(lam)
     signs = np.array(_signs(alphabet), dtype=np.complex128)
-    if threads <= 1 or level == 0:
-        return _grow_nodes(signs.copy(), lam, level, signs)
-    from concurrent.futures import ThreadPoolExecutor
+    return _grow_nodes(signs, complex(lam), level, signs)[0]
 
-    with ThreadPoolExecutor(max_workers=min(threads, signs.size)) as pool:
-        branches = list(
-            pool.map(
-                lambda s: _grow_nodes(np.array([s]), lam, level, signs), signs
-            )
-        )
-    return np.concatenate(branches)
+
+def _level_blocks(lam: complex, level: int, signs: np.ndarray):
+    """Nodes sum a_j lambda^j of all words a_0..a_level over ``signs``, in
+    lexicographic order, as consecutive blocks of at most _BLOCK_NODES.
+
+    The top levels are grown once; each block grows a run of those prefixes
+    to the leaves with the same fold, so every node has the bits it has in
+    ``level_nodes``."""
+    k = signs.size
+    depth = 0
+    while k ** (level - depth) > _BLOCK_NODES:
+        depth += 1
+    prefixes, power = _grow_nodes(signs, lam, depth, signs)
+    step = _BLOCK_NODES // k ** (level - depth)
+    for start in range(0, prefixes.size, step):
+        yield _grow_nodes(
+            prefixes[start:start + step], lam, level - depth, signs, power
+        )[0]
 
 
 def level_words(level: int, alphabet: str = TERNARY):
@@ -163,11 +181,9 @@ def nodal_radius(lam: complex, level: int) -> float:
     return absl ** (level + 1) / (1.0 - absl)
 
 
-def instar_disks(
-    level: int, lam: complex, alphabet: str = TERNARY, threads: int = 1
-) -> list[NodalDisk]:
+def instar_disks(level: int, lam: complex, alphabet: str = TERNARY) -> list[NodalDisk]:
     """All nodal disks of the level-n instar, lexicographic by word."""
-    nodes = level_nodes(lam, level, alphabet, threads=threads)
+    nodes = level_nodes(lam, level, alphabet)
     radius = nodal_radius(lam, level)
     return [
         NodalDisk(word, complex(center), Disk(complex(center), radius))
@@ -175,15 +191,13 @@ def instar_disks(
     ]
 
 
-def attractor_sample(
-    lam: complex, depth: int, alphabet: str = BINARY, threads: int = 1
-) -> np.ndarray:
+def attractor_sample(lam: complex, depth: int, alphabet: str = BINARY) -> np.ndarray:
     """Point sample of the attractor: all nodes of words of length depth+1.
 
     Each sample lies within |lambda|^{depth+1}/(1-|lambda|) of a true
     attractor point, and every attractor point is that close to a sample.
     """
-    return level_nodes(lam, depth, alphabet, threads=threads)
+    return level_nodes(lam, depth, alphabet)
 
 
 def overlap_itinerary(f: RationalTypeSeries, signs=(), length: int = 32) -> Word:

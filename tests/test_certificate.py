@@ -26,15 +26,14 @@ from ifslab import (
     verify_chain,
     weakened_conditions,
 )
-from ifslab import certificate
+from ifslab import ifs
 from ifslab.certificate import (
     _instar_clearance,
-    _level_blocks,
     _worst_separation,
     center_node,
     record_inequality,
 )
-from ifslab.ifs import BINARY, TERNARY, _signs, level_nodes, nodal_radius
+from ifslab.ifs import BINARY, TERNARY, _level_blocks, _signs, level_nodes, nodal_radius
 from ifslab.series import derivative_eval, taylor_eval
 
 from conftest import random_rooted_series
@@ -359,7 +358,7 @@ class TestStreamedCertificate:
     exhaustive enumerations, at the default block size and at a small one
     whose blocks end inside the prefix runs."""
 
-    BLOCKS = (certificate._BLOCK_NODES, 20)
+    BLOCKS = (ifs._BLOCK_NODES, 20)
 
     @pytest.mark.parametrize("variant", ["doubled", "single"])
     def test_worst_separation_is_the_enumeration_minimum(self, rng, monkeypatch, variant):
@@ -380,7 +379,7 @@ class TestStreamedCertificate:
                     key=lambda r: r.margin,
                 )
                 for block in self.BLOCKS:
-                    monkeypatch.setattr(certificate, "_BLOCK_NODES", block)
+                    monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
                     worst = _worst_separation(f, lam, n, variant)
                     assert worst == oracle, (f, lam, n, block)
                     assert worst.margin.hex() == oracle.margin.hex()
@@ -391,7 +390,7 @@ class TestStreamedCertificate:
         f, lam = random_rooted_series(rng, 3)
         signs = np.array(_signs(alphabet), dtype=np.complex128)
         for block in self.BLOCKS:
-            monkeypatch.setattr(certificate, "_BLOCK_NODES", block)
+            monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
             for n in range(12):
                 nodes = np.concatenate(list(_level_blocks(lam, n, signs)))
                 assert nodes.tobytes() == level_nodes(lam, n, alphabet).tobytes()

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from ifslab.cli import main
+from ifslab.cli import _parse_px, _parse_window, main
+from ifslab.errors import ParseError
 
 
 def read_ppm(path):
@@ -36,13 +38,12 @@ class TestRender:
         # off-axis rows at re > 0.5 escape too, but deeper than the left side
         assert img[2, 35, 0] > img[2, 5, 0]
 
-    def test_byte_identical_across_threads_and_runs(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         args = ["render", "--window", "0.45,0.0,0.70,0.25", "--px", "32,32",
                 "--depth", "25", "--set", "m"]
         paths = [tmp_path / name for name in ("a.ppm", "b.ppm", "c.ppm")]
-        assert main(args + ["--out", str(paths[0]), "--threads", "1"]) == 0
-        assert main(args + ["--out", str(paths[1]), "--threads", "4"]) == 0
-        assert main(args + ["--out", str(paths[2]), "--threads", "1"]) == 0
+        for path in paths:
+            assert main(args + ["--out", str(path)]) == 0
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
@@ -75,13 +76,25 @@ class TestRender:
         ])
         assert code == 2
 
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("IFS_LAB_THREADS", "2")
-        out = tmp_path / "env.ppm"
+    @pytest.mark.parametrize("window, px", [
+        ("0,0,inf,1", "4,4"),
+        ("0.50,-0.01,0.54,0.01", "4.7,4"),
+    ])
+    def test_malformed_px_or_window_usage_error(self, tmp_path, window, px):
+        out = tmp_path / "x.ppm"
+        assert main([
+            "render", "--window", window, "--px", px, "--depth", "10",
+            "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+
+    def test_threads_flag_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "threads.ppm"
         assert main([
             "render", "--window", "0.50,-0.01,0.54,0.01", "--px", "2,2",
-            "--depth", "15", "--out", str(out),
-        ]) == 0
+            "--depth", "15", "--out", str(out), "--threads", "2",
+        ]) == 2
+        assert not out.exists()
 
 
 class TestAttractor:
@@ -157,6 +170,30 @@ class TestAttractor:
             "--px", "20,20", "--out", str(tmp_path / "x.ppm"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("extra", [
+        ["--px", "0,0"],
+        ["--window", "0,0,nan,1"],
+        ["--depth=-1"],
+        ["--overlay", "instar", "--level=-2"],
+    ])
+    def test_bad_values_usage_error(self, tmp_path, extra):
+        out = tmp_path / "x.ppm"
+        code = main([
+            "attractor", "--seed", "0.6,0.25", "--set", "m", "--depth", "4",
+            "--out", str(out), *extra,
+        ])
+        assert code == 2
+        assert not out.exists()
+
+    def test_non_contracting_seed_exit_code(self, tmp_path):
+        out = tmp_path / "x.ppm"
+        code = main([
+            "attractor", "--seed", "1.5,0.3", "--depth", "4", "--px", "20,20",
+            "--out", str(out),
+        ])
+        assert code == 3
+        assert not out.exists()
 
     def test_unknown_overlay(self, tmp_path):
         code = main([
@@ -274,3 +311,50 @@ class TestUsage:
 
     def test_help_exit_zero(self):
         assert main(["--help"]) == 0
+
+    def test_parser_reused_across_calls(self, capsys):
+        assert main(["render", "--px", "2,2"]) == 2
+        assert main(["--version"]) == 0
+        assert "ifslab" in capsys.readouterr().out
+
+
+#: Arbitrary text, and comma-joined fields that are often numbers.
+_FIELD = st.one_of(
+    st.text(max_size=6),
+    st.integers(-3, 10**6).map(str),
+    st.floats().map(repr),
+)
+_TEXT = st.one_of(st.text(), st.lists(_FIELD, max_size=5).map(",".join))
+
+
+class TestInputParsers:
+    @given(_TEXT)
+    def test_px_contract(self, text):
+        try:
+            px = _parse_px(text)
+        except ParseError:
+            return
+        assert len(px) == 2
+        assert all(type(v) is int and v >= 1 for v in px)
+
+    @given(_TEXT)
+    def test_window_contract(self, text):
+        try:
+            window = _parse_window(text)
+        except ParseError:
+            return
+        x0, y0, x1, y1 = window
+        assert all(type(v) is float and math.isfinite(v) for v in window)
+        assert x0 < x1 and y0 < y1
+
+    @given(st.integers(1, 10**6), st.integers(1, 10**6))
+    def test_px_accepts_positive_integers(self, width, height):
+        assert _parse_px(f"{width},{height}") == (width, height)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=4, max_size=4, unique=True))
+    def test_window_accepts_ordered_finite_floats(self, values):
+        x0, x1 = sorted(values[:2])
+        y0, y1 = sorted(values[2:])
+        text = ",".join(repr(v) for v in (x0, y0, x1, y1))
+        assert _parse_window(text) == (x0, y0, x1, y1)

@@ -157,13 +157,6 @@ class TestAttractorSample:
         from_words = [node(w, lam) for w in level_words(3, "ternary")]
         assert np.allclose(pts, from_words, rtol=0, atol=1e-14)
 
-    def test_parallel_hint_bitwise_identical(self):
-        lam = 0.52 + 0.31j
-        for alphabet in ("binary", "ternary"):
-            seq = attractor_sample(lam, 9, alphabet, threads=1)
-            par = attractor_sample(lam, 9, alphabet, threads=3)
-            assert np.array_equal(seq, par)
-
 
 class TestOverlapItinerary:
     def test_zero_free_series(self):

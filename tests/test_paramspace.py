@@ -159,12 +159,6 @@ class TestEscapeGrid:
                 )
                 assert grid.values[j, i] == membership(lam, "M", 18).escaped_at
 
-    def test_thread_count_does_not_change_values(self):
-        window = (0.40, 0.00, 0.72, 0.32)
-        a = escape_grid(window, 16, 16, "M", 20, threads=1)
-        b = escape_grid(window, 16, 16, "M", 20, threads=3)
-        assert np.array_equal(a.values, b.values)
-
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValueError):
             escape_grid((0.5, 0.5, 0.5, 0.6), 2, 2, "M", 10)
