@@ -8,7 +8,10 @@ Subcommands:
   landmarks  evaluate the six landmark fixtures and their expectations
 
 ``--px W,H`` takes two integers >= 1 and ``--window x0,y0,x1,y1`` four finite
-floats with x0 < x1 and y0 < y1, for ``render`` and ``attractor`` alike.
+floats with x0 < x1 and y0 < y1, for ``render`` and ``attractor`` alike; the
+extents x1 - x0, y1 - y0 and the pixel scales W/(x1 - x0), H/(y1 - y0) must
+be finite too.  ``attractor --periods`` takes 1..MAX_PERIODS, and an overlay
+circle may take at most MAX_CIRCLE_SAMPLES samples.
 
 Exit codes: 0 success, 1 expectation failure, 2 usage/parse error, 3 numeric
 failure.  Images are binary PPM (P6) and byte-identical for identical inputs.
@@ -36,6 +39,14 @@ EXIT_OK = 0
 EXIT_EXPECTATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+#: Largest ``attractor --periods``: the chain overlay evaluates O((periods*p)^2)
+#: Taylor terms, and past a few periods its disks are far below a pixel.
+MAX_PERIODS = 64
+#: Most samples one overlay circle may take, 16 r max(W/(x1-x0), H/(y1-y0)):
+#: a default window asks for at most 8 W, a circle far larger than the window
+#: for more.
+MAX_CIRCLE_SAMPLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -79,6 +90,29 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
     if not (x0 < x1 and y0 < y1):
         raise ParseError(f"--window must satisfy x0 < x1 and y0 < y1, got {text!r}")
     return window
+
+
+def _parse_frame(
+    window_text: str | None, px_text: str
+) -> tuple[tuple[float, float, float, float] | None, int, int]:
+    """``--window`` (or None when absent) and ``--px`` of one command.
+
+    Beyond each parser's own contract, the extents x1 - x0, y1 - y0 and the
+    pixel scales W/(x1 - x0), H/(y1 - y0) must be finite: an overflowing
+    extent puts every pixel centre at infinity, and an overflowing scale
+    every attractor point."""
+    width, height = _parse_px(px_text)
+    if window_text is None:
+        return None, width, height
+    x0, y0, x1, y1 = window = _parse_window(window_text)
+    extents = (x1 - x0, y1 - y0)
+    scales = (width / extents[0], height / extents[1])
+    if not all(math.isfinite(v) for v in extents + scales):
+        raise ParseError(
+            f"--window {window_text!r} with --px {px_text!r} needs finite extents "
+            "x1 - x0, y1 - y0 and finite pixel scales W/(x1 - x0), H/(y1 - y0)"
+        )
+    return window, width, height
 
 
 def _parse_complex(text: str, what: str) -> complex:
@@ -153,20 +187,46 @@ def cmd_render(config: RenderConfig, command: list[str], report_path: str | None
     return EXIT_OK
 
 
-def _draw_circle(rgb: np.ndarray, window, cx: float, cy: float, radius: float, color) -> None:
-    """Parametric circle outline, deterministic sample count."""
+def _paint(rgb: np.ndarray, pixels, color) -> None:
+    """Paint ``color`` on every pixel that a (cols, rows) pair of ``pixels``
+    names.  The pairs hold floored float indices; those outside the image
+    are dropped.  Hits are marked in one mask and painted once."""
+    height, width, _ = rgb.shape
+    hit = np.zeros(height * width, dtype=bool)
+    for cols, rows in pixels:
+        keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
+        hit[rows[keep].astype(np.intp) * width + cols[keep].astype(np.intp)] = True
+    rgb.reshape(-1, 3)[hit] = color
+
+
+def _draw_circles(rgb: np.ndarray, window, centers: np.ndarray, radius: float, color) -> None:
+    """Parametric outlines of circles of one radius around ``centers``, with
+    a deterministic sample count per circle, in batches of about
+    ``ifs._BLOCK_NODES`` samples.  ParseError when one circle would take
+    more than MAX_CIRCLE_SAMPLES samples."""
     height, width, _ = rgb.shape
     x0, y0, x1, y1 = window
     sx = width / (x1 - x0)
     sy = height / (y1 - y0)
-    steps = max(64, int(16 * radius * max(sx, sy)))
+    needed = 16 * radius * max(sx, sy)
+    if not needed <= MAX_CIRCLE_SAMPLES:
+        raise ParseError(
+            f"an overlay circle of radius {radius:.3g} needs {needed:.3g} samples "
+            f"in this window, more than {MAX_CIRCLE_SAMPLES}; widen --window or "
+            "lower --px"
+        )
+    steps = max(64, int(needed))
     t = 2.0 * np.pi * np.arange(steps) / steps
-    xs = cx + radius * np.cos(t)
-    ys = cy + radius * np.sin(t)
-    cols = np.floor((xs - x0) * sx).astype(int)
-    rows = np.floor((y1 - ys) * sy).astype(int)
-    keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
-    rgb[rows[keep], cols[keep]] = color
+    dx = radius * np.cos(t)
+    dy = radius * np.sin(t)
+    batch = max(1, ifs._BLOCK_NODES // steps)
+    # (xs - x0) * sx floors some samples to other pixels than the attractor
+    # points' (x - x0) * W / (x1 - x0); images depend on both staying as is
+    _paint(rgb, (
+        (np.floor((c.real[:, None] + dx - x0) * sx),
+         np.floor((y1 - (c.imag[:, None] + dy)) * sy))
+        for c in (centers[i:i + batch] for i in range(0, centers.size, batch))
+    ), color)
 
 
 def cmd_attractor(
@@ -182,21 +242,23 @@ def cmd_attractor(
     series: RationalTypeSeries | None = None,
     periods: int = 2,
 ) -> int:
-    samples = ifs.attractor_sample(lam, depth, alphabet)
+    blocks = ifs.level_blocks(lam, depth, alphabet)
     if window is None:
         bound = 1.0 / (1.0 - abs(lam))
         window = (-bound, -bound, bound, bound)
     x0, y0, x1, y1 = window
     rgb = np.full((height, width, 3), 255, dtype=np.uint8)
-    cols = np.floor((samples.real - x0) * width / (x1 - x0)).astype(int)
-    rows = np.floor((y1 - samples.imag) * height / (y1 - y0)).astype(int)
-    keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
-    rgb[rows[keep], cols[keep]] = (0, 0, 0)
+    _paint(rgb, (
+        (np.floor((samples.real - x0) * width / (x1 - x0)),
+         np.floor((y1 - samples.imag) * height / (y1 - y0)))
+        for samples in blocks
+    ), (0, 0, 0))
 
     if overlay == "instar":
-        radius = ifs.nodal_radius(lam, overlay_level)
-        for center in ifs.level_nodes(lam, overlay_level, alphabet):
-            _draw_circle(rgb, window, center.real, center.imag, radius, (160, 160, 160))
+        _draw_circles(
+            rgb, window, ifs.level_nodes(lam, overlay_level, alphabet),
+            ifs.nodal_radius(lam, overlay_level), (160, 160, 160),
+        )
     elif overlay == "chain":
         if series is None:
             raise ParseError("--overlay chain requires --series")
@@ -205,9 +267,8 @@ def cmd_attractor(
         for n in range(periods * series.period):
             disk = certificate.chain_disk(series, lam, n)
             if disk.radius > 0:
-                _draw_circle(
-                    rgb, window, disk.center.real, disk.center.imag, disk.radius,
-                    (0, 160, 0),
+                _draw_circles(
+                    rgb, window, np.array([disk.center]), disk.radius, (0, 160, 0)
                 )
     elif overlay != "none":
         raise ParseError(f"unknown overlay {overlay!r}")
@@ -315,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     attractor.add_argument("--out", required=True)
     attractor.add_argument("--overlay", default="none", help="none | instar | chain")
     attractor.add_argument("--level", type=int, default=3, help="instar overlay level")
-    attractor.add_argument("--periods", type=int, default=2, help="chain overlay periods")
+    attractor.add_argument("--periods", type=int, default=2,
+                           help=f"chain overlay periods, 1..{MAX_PERIODS}")
 
     cert = sub.add_parser("certify", help="run the accessibility certificate")
     cert.add_argument("--series", required=True)
@@ -341,20 +403,20 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "render":
-            w, h = _parse_px(args.px)
+            window, w, h = _parse_frame(args.window, args.px)
             config = RenderConfig(
-                _parse_window(args.window), w, h, args.depth, _parse_set(args.set),
-                args.out,
+                window, w, h, args.depth, _parse_set(args.set), args.out
             )
             return cmd_render(config, argv, args.report)
 
         if args.command == "attractor":
             seed = _parse_complex(args.seed, "--seed")
             series = RationalTypeSeries.parse(args.series) if args.series else None
-            w, h = _parse_px(args.px)
-            window = _parse_window(args.window) if args.window else None
+            window, w, h = _parse_frame(args.window, args.px)
             if args.depth < 0 or args.level < 0:
                 raise ParseError("--depth and --level must be >= 0")
+            if not 1 <= args.periods <= MAX_PERIODS:
+                raise ParseError(f"--periods must be 1..{MAX_PERIODS}, got {args.periods}")
             alphabet = ifs.TERNARY if _parse_set(args.set) == paramspace.SET_M else ifs.BINARY
             if series is None:
                 lam = paramspace._check_lambda(seed)

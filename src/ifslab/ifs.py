@@ -7,8 +7,10 @@ around it, R = (1 - |lambda|)^{-1}.  The union of nodal disks over all words
 of a fixed length is the instar at that level; instars shrink onto the
 attractor.  Enumeration is always lexicographic with minus < center < plus,
 so outputs are deterministic.  Whole levels (``level_nodes``) and bounded
-blocks of a level (``_level_blocks``, which the certificate streams) are
-built by one fold, so a node has the same bits either way.
+blocks of a level (``level_blocks``) are built by one fold, so a node has the
+same bits either way.  The blocks stream both the certificate's searches and
+the attractor raster of the command line, whose memory is therefore flat in
+the level.
 """
 
 from __future__ import annotations
@@ -164,6 +166,16 @@ def _level_blocks(lam: complex, level: int, signs: np.ndarray):
         yield _grow_nodes(
             prefixes[start:start + step], lam, level - depth, signs, power
         )[0]
+
+
+def level_blocks(lam: complex, level: int, alphabet: str = TERNARY):
+    """The nodes of ``level_nodes(lam, level, alphabet)``, bit for bit and in
+    the same order, as consecutive blocks of at most ``_BLOCK_NODES``.
+
+    The level is checked here, before the first block is asked for."""
+    _check_level(level, alphabet)
+    signs = np.array(_signs(alphabet), dtype=np.complex128)
+    return _level_blocks(complex(lam), level, signs)
 
 
 def level_words(level: int, alphabet: str = TERNARY):

@@ -4,7 +4,8 @@ import itertools
 
 import numpy as np
 
-from ifslab.ifs import level_nodes, nodal_radius
+from ifslab.certificate import chain_disk
+from ifslab.ifs import attractor_sample, level_nodes, nodal_radius
 from ifslab.paramspace import PRUNE_GUARD
 
 
@@ -50,3 +51,53 @@ def instar_clearance_full(lam, n, alphabet, center, radius, znode):
     keep = np.abs(nodes - znode) > 1e-9 * (1.0 + abs(znode))
     clearance = np.abs(nodes[keep] - center) - (radius + nodal_radius(lam, n))
     return float(np.min(clearance))
+
+
+def attractor_points_full(rgb, samples, window):
+    """Paint every attractor sample black from the whole sample array at
+    once: the rasterization expression before the raster was streamed."""
+    height, width, _ = rgb.shape
+    x0, y0, x1, y1 = window
+    cols = np.floor((samples.real - x0) * width / (x1 - x0)).astype(int)
+    rows = np.floor((y1 - samples.imag) * height / (y1 - y0)).astype(int)
+    keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
+    rgb[rows[keep], cols[keep]] = (0, 0, 0)
+
+
+def draw_circle(rgb, window, cx, cy, radius, color):
+    """One parametric circle outline per call, as drawn before circles were
+    batched."""
+    height, width, _ = rgb.shape
+    x0, y0, x1, y1 = window
+    sx = width / (x1 - x0)
+    sy = height / (y1 - y0)
+    steps = max(64, int(16 * radius * max(sx, sy)))
+    t = 2.0 * np.pi * np.arange(steps) / steps
+    xs = cx + radius * np.cos(t)
+    ys = cy + radius * np.sin(t)
+    cols = np.floor((xs - x0) * sx).astype(int)
+    rows = np.floor((y1 - ys) * sy).astype(int)
+    keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
+    rgb[rows[keep], cols[keep]] = color
+
+
+def attractor_ppm(lam, depth, alphabet, window, width, height,
+                  overlay="none", level=3, series=None, periods=2):
+    """The PPM bytes of ``ifslab attractor`` for an already refined ``lam``,
+    built from the whole level and one ``draw_circle`` call per circle."""
+    if window is None:
+        bound = 1.0 / (1.0 - abs(lam))
+        window = (-bound, -bound, bound, bound)
+    rgb = np.full((height, width, 3), 255, dtype=np.uint8)
+    attractor_points_full(rgb, attractor_sample(lam, depth, alphabet), window)
+    if overlay == "instar":
+        radius = nodal_radius(lam, level)
+        for center in level_nodes(lam, level, alphabet):
+            draw_circle(rgb, window, center.real, center.imag, radius, (160, 160, 160))
+    elif overlay == "chain":
+        for n in range(periods * series.period):
+            disk = chain_disk(series, lam, n)
+            if disk.radius > 0:
+                draw_circle(rgb, window, disk.center.real, disk.center.imag,
+                            disk.radius, (0, 160, 0))
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + rgb.tobytes()

@@ -1,12 +1,17 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ifslab.cli import _parse_px, _parse_window, main
+from ifslab import ifs
+from ifslab.cli import MAX_PERIODS, _parse_px, _parse_window, main
 from ifslab.errors import ParseError
+from ifslab.numerics import newton_root
+from ifslab.series import RationalTypeSeries, numerator_polynomial
+from oracles import attractor_ppm
 
 
 def read_ppm(path):
@@ -85,6 +90,15 @@ class TestRender:
         assert main([
             "render", "--window", window, "--px", px, "--depth", "10",
             "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+
+    def test_overflowing_window_extent_usage_error(self, tmp_path):
+        # every bound is finite, but x1 - x0 overflows to inf
+        out = tmp_path / "x.ppm"
+        assert main([
+            "render", "--window=-1e308,0.1,1e308,0.2", "--px", "4,4",
+            "--depth", "10", "--out", str(out),
         ]) == 2
         assert not out.exists()
 
@@ -186,6 +200,46 @@ class TestAttractor:
         assert code == 2
         assert not out.exists()
 
+    def test_overflowing_pixel_scale_usage_error(self, tmp_path):
+        # the extent 5e-324 is finite, but W / (x1 - x0) overflows
+        out = tmp_path / "x.ppm"
+        assert main([
+            "attractor", "--seed", "0.6,0.25", "--set", "m", "--depth", "4",
+            "--window=0,0,5e-324,1", "--px", "20,20", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+
+    def test_circle_sample_ceiling_usage_error(self, tmp_path):
+        # a level-0 instar circle (radius ~1.8) in a 1e-6 window at 400 px
+        # would take 16 r 400/1e-6 ~ 1.1e10 samples
+        out = tmp_path / "x.ppm"
+        assert main([
+            "attractor", "--seed=-0.37,0.52", "--series", "1;1,1,-1", "--set", "m",
+            "--depth", "2", "--window=0,0,1e-6,1e-6", "--px", "400,400",
+            "--overlay", "instar", "--level", "0", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("periods", ["0", "-3", str(MAX_PERIODS + 1)])
+    def test_periods_out_of_range_usage_error(self, tmp_path, periods):
+        out = tmp_path / "x.ppm"
+        assert main([
+            "attractor", "--seed", "0.6,0.25", "--series", "1,-1,-1;1", "--set", "m",
+            "--depth", "4", "--px", "50,50", "--overlay", "chain",
+            f"--periods={periods}", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("periods", ["1", str(MAX_PERIODS)])
+    def test_periods_bounds_accepted(self, tmp_path, periods):
+        out = tmp_path / "x.ppm"
+        assert main([
+            "attractor", "--seed", "0.6,0.25", "--series", "1,-1,-1;1", "--set", "m",
+            "--depth", "4", "--px", "50,50", "--overlay", "chain",
+            "--periods", periods, "--out", str(out),
+        ]) == 0
+        assert (read_ppm(out)[:, :, 1] == 160).any()
+
     def test_non_contracting_seed_exit_code(self, tmp_path):
         out = tmp_path / "x.ppm"
         code = main([
@@ -201,6 +255,93 @@ class TestAttractor:
             "--px", "50,50", "--overlay", "blobs", "--out", str(tmp_path / "x.ppm"),
         ])
         assert code == 2
+
+
+LANDMARK5 = ("1;1,1,-1", -0.37 + 0.52j)
+LANDMARK1 = ("1,-1,-1;1", 0.6 + 0.25j)
+
+
+class TestStreamedAttractor:
+    """``attractor`` output equals the whole-level raster and one-call-per-
+    circle overlays of ``oracles.attractor_ppm`` byte for byte."""
+
+    CASES = {
+        "binary-default": dict(lam=0.55 + 0.41j, depth=15, alphabet="binary"),
+        "ternary-default": dict(lam=0.6 + 0.25j, depth=10, alphabet="ternary"),
+        "ternary-clipped": dict(lam=0.6 + 0.25j, depth=10, alphabet="ternary",
+                                window=(0.3, -0.2, 1.9, 0.7)),
+        "binary-clipped-odd": dict(lam=1j / math.sqrt(2), depth=16, alphabet="binary",
+                                   window=(-1.1, -0.3, 2.3, 1.6), px=(333, 111)),
+        "depth0": dict(lam=0.3 + 0.6j, depth=0, alphabet="ternary", px=(7, 5)),
+        "instar0": dict(lam=LANDMARK5, depth=6, alphabet="ternary",
+                        overlay="instar", level=0),
+        "instar3-clipped": dict(lam=LANDMARK5, depth=8, alphabet="ternary",
+                                overlay="instar", level=3, window=(0.5, 0.5, 2.5, 2.0),
+                                px=(211, 157)),
+        "instar8": dict(lam=LANDMARK5, depth=9, alphabet="ternary",
+                        overlay="instar", level=8),
+        "instar8-binary": dict(lam=LANDMARK5, depth=12, alphabet="binary",
+                               overlay="instar", level=8),
+        "chain": dict(lam=LANDMARK1, depth=9, alphabet="ternary", overlay="chain",
+                      periods=3),
+        "chain-clipped": dict(lam=LANDMARK5, depth=9, alphabet="ternary",
+                              overlay="chain", window=(0.5, 0.5, 2.5, 2.0)),
+        # At lambda = 1/2 the nodes and the circle samples at t = 0 and pi
+        # are dyadic, so these windows put some of them where
+        # (x - x0) * W / (x1 - x0) and (x - x0) * (W / (x1 - x0)) floor to
+        # different pixels: the two expressions must not be interchanged.
+        "dyadic-points": dict(lam=0.5, depth=3, alphabet="binary",
+                              window=(-1.875, -1.0, 1.625, 1.0), px=(61, 9)),
+        "dyadic-circles": dict(lam=0.5, depth=3, alphabet="binary", overlay="instar",
+                               level=3, window=(-2.0, -1.0, 0.875, 1.0), px=(104, 9)),
+    }
+
+    def _check(self, tmp_path, lam, depth, alphabet, window=None, px=(300, 300),
+               overlay="none", level=3, periods=2):
+        argv = ["attractor", "--depth", str(depth), "--px", f"{px[0]},{px[1]}",
+                "--set", "m" if alphabet == "ternary" else "m0",
+                "--overlay", overlay, "--level", str(level), "--periods", str(periods)]
+        series, seed = None, lam
+        if isinstance(lam, tuple):
+            text, seed = lam
+            series = RationalTypeSeries.parse(text)
+            lam = newton_root(numerator_polynomial(series), seed)
+            argv += ["--series", text]
+        argv.append(f"--seed={seed.real!r},{seed.imag!r}")
+        if window is not None:
+            argv.append("--window=" + ",".join(repr(v) for v in window))
+        out = tmp_path / "a.ppm"
+        assert main(argv + ["--out", str(out)]) == 0
+        expected = attractor_ppm(lam, depth, alphabet, window, *px, overlay=overlay,
+                                 level=level, series=series, periods=periods)
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_whole_level_oracle(self, tmp_path, case):
+        self._check(tmp_path, **self.CASES[case])
+
+    @pytest.mark.parametrize("case", ["ternary-clipped", "binary-clipped-odd",
+                                      "instar3-clipped", "chain"])
+    @pytest.mark.parametrize("block", [7, 200])
+    def test_many_blocks_equal_whole_level_oracle(self, tmp_path, monkeypatch, case, block):
+        # 7: one circle per batch and blocks of a few nodes; 200: a few
+        # circles per batch
+        monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
+        self._check(tmp_path, **self.CASES[case])
+
+    def test_memory_flat_in_depth(self, tmp_path):
+        # the level alone is 2^21 complex nodes, 33.5 MB
+        out = tmp_path / "deep.ppm"
+        argv = ["attractor", "--seed", "0.0,0.7071067811865475", "--set", "m0",
+                "--px", "200,200", "--out", str(out)]
+        assert main(argv + ["--depth", "2"]) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--depth", "20"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCertify:

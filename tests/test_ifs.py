@@ -14,7 +14,8 @@ from ifslab import (
     overlap_itinerary,
     selfsim_residuals,
 )
-from ifslab.ifs import MAX_LEVEL, level_nodes, level_words, nodal_radius
+from ifslab import ifs
+from ifslab.ifs import MAX_LEVEL, level_blocks, level_nodes, level_words, nodal_radius
 
 LAM_RECT = 1j / math.sqrt(2)
 
@@ -156,6 +157,29 @@ class TestAttractorSample:
         pts = attractor_sample(lam, 3, "ternary")
         from_words = [node(w, lam) for w in level_words(3, "ternary")]
         assert np.allclose(pts, from_words, rtol=0, atol=1e-14)
+
+
+class TestLevelBlocks:
+    @pytest.mark.parametrize("alphabet, level", [
+        ("binary", 0), ("binary", 13), ("ternary", 0), ("ternary", 9),
+    ])
+    @pytest.mark.parametrize("block", [ifs._BLOCK_NODES, 7])
+    def test_blocks_are_the_level_bit_for_bit(self, monkeypatch, alphabet, level, block):
+        monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
+        lam = 0.52 + 0.31j
+        blocks = list(level_blocks(lam, level, alphabet))
+        assert all(b.size <= block for b in blocks)
+        joined = np.concatenate(blocks)
+        expected = level_nodes(lam, level, alphabet)
+        assert joined.tobytes() == expected.tobytes()
+
+    def test_level_checked_before_the_first_block(self):
+        with pytest.raises(LevelTooDeep):
+            level_blocks(0.5 + 0.1j, MAX_LEVEL["ternary"] + 1, "ternary")
+        with pytest.raises(ValueError):
+            level_blocks(0.5 + 0.1j, -1, "binary")
+        with pytest.raises(ValueError):
+            level_blocks(0.5 + 0.1j, 2, "decimal")
 
 
 class TestOverlapItinerary:
