@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -96,6 +96,9 @@ class ChainDisk:
 
 @dataclass(frozen=True)
 class ChainLevelCheck:
+    """One level of ``verify_chain``; the fields, in order, are the keys of
+    a report's ``geometric.levels`` records."""
+
     n: int
     exists: bool
     exists_margin: float
@@ -535,14 +538,9 @@ def certify(f: RationalTypeSeries, lam: complex, target: str = "M") -> Certifica
                 "target M0 requires a series with no zero coefficients; "
                 f"zeros at indices {f.zero_positions}"
             )
-        variant = "doubled" if target == "M" else "single"
-        conditions: list[ConditionRecord] = []
-        for n in range(p):
-            conditions.append(_disk_exists(f, lam, n))
-            conditions.append(_consecutive_overlap(f, lam, n))
-            conditions.append(_worst_separation(f, lam, n, variant))
         # disks 0..3p-1: the two checked periods and the one the residuals
-        # compare the second of them with
+        # compare the second of them with.  The geometry comes first, so its
+        # level guard refuses a long period before any (iii) polynomial.
         disks = [_chain_disk(f, lam, n) for n in range(3 * p)]
         center = _selfsim_center(f, lam)
         geometry = _verify_chain(f, lam, 2, target, disks)
@@ -551,6 +549,12 @@ def certify(f: RationalTypeSeries, lam: complex, target: str = "M") -> Certifica
             _periodicity_residual(lam, p, center, disks[n], disks[n + p])
             for n in range(2 * p)
         )
+        variant = "doubled" if target == "M" else "single"
+        conditions: list[ConditionRecord] = []
+        for n in range(p):
+            conditions.append(_disk_exists(f, lam, n))
+            conditions.append(_consecutive_overlap(f, lam, n))
+            conditions.append(_worst_separation(f, lam, n, variant))
 
         near_band = False
         for rec in conditions:
@@ -653,18 +657,7 @@ def report_to_dict(report: CertificateReport) -> dict:
             "all_connected": geo.all_connected,
             "all_disjoint": geo.all_disjoint,
             "levels": [
-                {
-                    "n": lv.n,
-                    "exists": lv.exists,
-                    "exists_margin": lv.exists_margin,
-                    "connects_next": lv.connects_next,
-                    "connect_margin": lv.connect_margin,
-                    "disjoint": lv.disjoint,
-                    "disjoint_margin": lv.disjoint_margin,
-                    "contained_in_prev": lv.contained_in_prev,
-                    "containment_residual": lv.containment_residual,
-                }
-                for lv in geo.levels
+                {f.name: getattr(lv, f.name) for f in fields(lv)} for lv in geo.levels
             ],
         },
         "periodicity_residuals": list(report.periodicity_residuals),
@@ -681,20 +674,7 @@ def report_from_dict(d: dict) -> CertificateReport:
     geometry = ChainGeometry(
         geo["target"],
         geo["periods"],
-        tuple(
-            ChainLevelCheck(
-                n=lv["n"],
-                exists=lv["exists"],
-                exists_margin=lv["exists_margin"],
-                connects_next=lv["connects_next"],
-                connect_margin=lv["connect_margin"],
-                disjoint=lv["disjoint"],
-                disjoint_margin=lv["disjoint_margin"],
-                contained_in_prev=lv["contained_in_prev"],
-                containment_residual=lv["containment_residual"],
-            )
-            for lv in geo["levels"]
-        ),
+        tuple(ChainLevelCheck(**lv) for lv in geo["levels"]),
     )
     return CertificateReport(
         lam=_complex_from_dict(d["lambda"]),

@@ -7,11 +7,15 @@ Subcommands:
   certify    run the accessibility certificate, write a JSON report
   landmarks  evaluate the six landmark fixtures and their expectations
 
-``--px W,H`` takes two integers >= 1 and ``--window x0,y0,x1,y1`` four finite
-floats with x0 < x1 and y0 < y1, for ``render`` and ``attractor`` alike; the
-extents x1 - x0, y1 - y0 and the pixel scales W/(x1 - x0), H/(y1 - y0) must
-be finite too.  ``attractor --periods`` takes 1..MAX_PERIODS, and an overlay
-circle may take at most MAX_CIRCLE_SAMPLES samples.
+``--px W,H`` takes two integers >= 1 with W*H <= MAX_PIXELS and ``--window
+x0,y0,x1,y1`` four finite floats with x0 < x1 and y0 < y1, for ``render`` and
+``attractor`` alike; the extents x1 - x0, y1 - y0 and the pixel scales
+W/(x1 - x0), H/(y1 - y0) must be finite too.  ``--set`` takes m or m0 (any
+case) and ``attractor --overlay`` none, instar or chain.
+``attractor --periods`` takes 1..MAX_PERIODS, and an overlay circle may take
+at most MAX_CIRCLE_SAMPLES samples.  Every one of these rules, and the level
+guards of ``attractor`` and ``certify``, is checked before the command walks
+its first level, so a refused command does no work.
 
 Exit codes: 0 success, 1 expectation failure, 2 usage/parse error, 3 numeric
 failure.  Images are binary PPM (P6) and byte-identical for identical inputs.
@@ -25,7 +29,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 
 import numpy as np
 
@@ -47,21 +51,11 @@ MAX_PERIODS = 64
 #: a default window asks for at most 8 W, a circle far larger than the window
 #: for more.
 MAX_CIRCLE_SAMPLES = 1 << 22
+#: Most pixels W*H of one image: 2^26 is 192 MiB of RGB.
+MAX_PIXELS = 1 << 26
 
-
-@dataclass(frozen=True)
-class RenderConfig:
-    window: tuple[float, float, float, float]
-    width: int
-    height: int
-    depth: int
-    set_kind: str
-    out: str
-
-    def __post_init__(self):
-        # the window and the pixel counts are checked by their parsers
-        if self.depth < 1:
-            raise ParseError("--depth must be >= 1")
+#: ``--set`` value -> locus; the loci name the certify targets too.
+SETS = {"m": paramspace.SET_M, "m0": paramspace.SET_M0}
 
 
 def _parse_csv(text: str, count: int, what: str, kind=float) -> tuple:
@@ -97,11 +91,15 @@ def _parse_frame(
 ) -> tuple[tuple[float, float, float, float] | None, int, int]:
     """``--window`` (or None when absent) and ``--px`` of one command.
 
-    Beyond each parser's own contract, the extents x1 - x0, y1 - y0 and the
-    pixel scales W/(x1 - x0), H/(y1 - y0) must be finite: an overflowing
-    extent puts every pixel centre at infinity, and an overflowing scale
-    every attractor point."""
+    Beyond each parser's own contract, the image may have at most MAX_PIXELS
+    pixels, and the extents x1 - x0, y1 - y0 and the pixel scales
+    W/(x1 - x0), H/(y1 - y0) must be finite: an overflowing extent puts every
+    pixel centre at infinity, and an overflowing scale every attractor point."""
     width, height = _parse_px(px_text)
+    if width * height > MAX_PIXELS:
+        raise ParseError(
+            f"--px {px_text!r} asks for {width * height} pixels, more than {MAX_PIXELS}"
+        )
     if window_text is None:
         return None, width, height
     x0, y0, x1, y1 = window = _parse_window(window_text)
@@ -118,13 +116,6 @@ def _parse_frame(
 def _parse_complex(text: str, what: str) -> complex:
     re, im = _parse_csv(text, 2, what)
     return complex(re, im)
-
-
-def _parse_set(text: str) -> str:
-    kind = {"m": paramspace.SET_M, "m0": paramspace.SET_M0}.get(text.lower())
-    if kind is None:
-        raise ParseError(f"--set must be m or m0, got {text!r}")
-    return kind
 
 
 def write_ppm(path: str, rgb: np.ndarray) -> None:
@@ -158,12 +149,19 @@ def _write_json(path: str, data: dict) -> None:
         fh.write("\n")
 
 
-def cmd_render(config: RenderConfig, command: list[str], report_path: str | None = None) -> int:
-    grid = paramspace.escape_grid(
-        config.window, config.width, config.height, config.set_kind, config.depth
-    )
+def cmd_render(
+    window: tuple[float, float, float, float],
+    width: int,
+    height: int,
+    depth: int,
+    set_kind: str,
+    out: str,
+    command: list[str],
+    report_path: str | None = None,
+) -> int:
+    grid = paramspace.escape_grid(window, width, height, set_kind, depth)
     rgb = grid_to_rgb(grid)
-    write_ppm(config.out, rgb)
+    write_ppm(out, rgb)
     if report_path:
         import hashlib
 
@@ -180,7 +178,7 @@ def cmd_render(config: RenderConfig, command: list[str], report_path: str | None
             "survived_pixels": int(np.count_nonzero(grid.values == 0)),
             "escaped_pixels": int(np.count_nonzero(grid.values)),
             "max_escape_depth": int(grid.values.max()),
-            "output": config.out,
+            "output": out,
             "sha256": digest,
         }
         _write_json(report_path, envelope(command, payload))
@@ -199,23 +197,30 @@ def _paint(rgb: np.ndarray, pixels, color) -> None:
     rgb.reshape(-1, 3)[hit] = color
 
 
-def _draw_circles(rgb: np.ndarray, window, centers: np.ndarray, radius: float, color) -> None:
-    """Parametric outlines of circles of one radius around ``centers``, with
-    a deterministic sample count per circle, in batches of about
-    ``ifs._BLOCK_NODES`` samples.  ParseError when one circle would take
-    more than MAX_CIRCLE_SAMPLES samples."""
-    height, width, _ = rgb.shape
+def _circle_steps(radius: float, window, width: int, height: int) -> int:
+    """Samples of one overlay circle of ``radius``: 16 r max(W/(x1-x0),
+    H/(y1-y0)), at least 64.  ParseError when that is more than
+    MAX_CIRCLE_SAMPLES."""
     x0, y0, x1, y1 = window
-    sx = width / (x1 - x0)
-    sy = height / (y1 - y0)
-    needed = 16 * radius * max(sx, sy)
+    needed = 16 * radius * max(width / (x1 - x0), height / (y1 - y0))
     if not needed <= MAX_CIRCLE_SAMPLES:
         raise ParseError(
             f"an overlay circle of radius {radius:.3g} needs {needed:.3g} samples "
             f"in this window, more than {MAX_CIRCLE_SAMPLES}; widen --window or "
             "lower --px"
         )
-    steps = max(64, int(needed))
+    return max(64, int(needed))
+
+
+def _draw_circles(rgb: np.ndarray, window, centers: np.ndarray, radius: float, color) -> None:
+    """Parametric outlines of circles of one radius around ``centers``, with
+    ``_circle_steps`` samples per circle, in batches of about
+    ``ifs._BLOCK_NODES`` samples."""
+    height, width, _ = rgb.shape
+    x0, y0, x1, y1 = window
+    sx = width / (x1 - x0)
+    sy = height / (y1 - y0)
+    steps = _circle_steps(radius, window, width, height)
     t = 2.0 * np.pi * np.arange(steps) / steps
     dx = radius * np.cos(t)
     dy = radius * np.sin(t)
@@ -227,6 +232,36 @@ def _draw_circles(rgb: np.ndarray, window, centers: np.ndarray, radius: float, c
          np.floor((y1 - (c.imag[:, None] + dy)) * sy))
         for c in (centers[i:i + batch] for i in range(0, centers.size, batch))
     ), color)
+
+
+def _overlay_circles(
+    lam: complex, alphabet: str, window, width: int, height: int, overlay: str,
+    level: int, series: RationalTypeSeries | None, periods: int,
+) -> list:
+    """The circles of ``overlay`` as (centers, radius, color) triples, each
+    ``centers`` a function giving the array of circle centres.
+
+    Every refusal of the overlay comes from here, before any level is walked:
+    the instar level guard, ``chain`` without ``--series`` or at a non-root,
+    and MAX_CIRCLE_SAMPLES for every circle.  The instar centres are the
+    level's nodes, built only when the circles are drawn."""
+    if overlay == "instar":
+        ifs._check_level(level, alphabet)
+        circles = [(functools.partial(ifs.level_nodes, lam, level, alphabet),
+                    ifs.nodal_radius(lam, level), (160, 160, 160))]
+    elif overlay == "chain":
+        if series is None:
+            raise ParseError("--overlay chain requires --series")
+        if abs(rational_eval(series, lam)) >= certificate.ROOT_TOL:
+            raise ParseError("--overlay chain requires lambda to be a root of --series")
+        disks = (certificate.chain_disk(series, lam, n) for n in range(periods * series.period))
+        circles = [(functools.partial(np.array, [disk.center]), disk.radius, (0, 160, 0))
+                   for disk in disks if disk.radius > 0]
+    else:
+        circles = []
+    for _, radius, _ in circles:
+        _circle_steps(radius, window, width, height)
+    return circles
 
 
 def cmd_attractor(
@@ -242,10 +277,15 @@ def cmd_attractor(
     series: RationalTypeSeries | None = None,
     periods: int = 2,
 ) -> int:
-    blocks = ifs.level_blocks(lam, depth, alphabet)
+    """Point raster of the level-``depth`` nodes with the circles of
+    ``overlay`` ("none", "instar" or "chain") drawn over it."""
     if window is None:
         bound = 1.0 / (1.0 - abs(lam))
         window = (-bound, -bound, bound, bound)
+    circles = _overlay_circles(
+        lam, alphabet, window, width, height, overlay, overlay_level, series, periods
+    )
+    blocks = ifs.level_blocks(lam, depth, alphabet)
     x0, y0, x1, y1 = window
     rgb = np.full((height, width, 3), 255, dtype=np.uint8)
     _paint(rgb, (
@@ -253,26 +293,8 @@ def cmd_attractor(
          np.floor((y1 - samples.imag) * height / (y1 - y0)))
         for samples in blocks
     ), (0, 0, 0))
-
-    if overlay == "instar":
-        _draw_circles(
-            rgb, window, ifs.level_nodes(lam, overlay_level, alphabet),
-            ifs.nodal_radius(lam, overlay_level), (160, 160, 160),
-        )
-    elif overlay == "chain":
-        if series is None:
-            raise ParseError("--overlay chain requires --series")
-        if abs(rational_eval(series, lam)) >= certificate.ROOT_TOL:
-            raise ParseError("--overlay chain requires lambda to be a root of --series")
-        for n in range(periods * series.period):
-            disk = certificate.chain_disk(series, lam, n)
-            if disk.radius > 0:
-                _draw_circles(
-                    rgb, window, np.array([disk.center]), disk.radius, (0, 160, 0)
-                )
-    elif overlay != "none":
-        raise ParseError(f"unknown overlay {overlay!r}")
-
+    for centers, radius, color in circles:
+        _draw_circles(rgb, window, centers(), radius, color)
     write_ppm(out, rgb)
     return EXIT_OK
 
@@ -325,21 +347,8 @@ def cmd_landmarks(ids, out: str | None, command: list[str]) -> int:
             "probe_semantics": "survived = depth-limited search could not "
             "exclude the parameter (one-sided); escaped = definitive",
             "outcomes": [
-                {
-                    "id": oc.id,
-                    "root": {"re": oc.root.real, "im": oc.root.imag},
-                    "residual": oc.residual,
-                    "in_sector": oc.in_sector,
-                    "inequality_margins": list(oc.inequality_margins),
-                    "overlap_count": oc.overlap_count,
-                    "verdict": oc.verdict,
-                    "shared_boundary": oc.shared_boundary,
-                    "min_condition_margin": oc.min_condition_margin,
-                    "probe_out": oc.probe_out,
-                    "probe_in": oc.probe_in,
-                    "expected_ok": oc.expected_ok,
-                    "notes": list(oc.notes),
-                }
+                {f.name: getattr(oc, f.name) for f in fields(oc)}
+                | {"root": {"re": oc.root.real, "im": oc.root.imag}}
                 for oc in outcomes
             ],
         }
@@ -362,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--window", required=True, help="x0,y0,x1,y1")
     render.add_argument("--px", required=True, help="W,H")
     render.add_argument("--depth", type=int, default=40)
-    render.add_argument("--set", default="m", help="m or m0")
+    render.add_argument("--set", type=str.lower, choices=tuple(SETS), default="m",
+                        help="locus: m or m0")
     render.add_argument("--out", required=True)
     render.add_argument("--report", default=None, help="optional JSON summary path")
 
@@ -370,11 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     attractor.add_argument("--seed", required=True, help="re,im parameter (refined via --series if given)")
     attractor.add_argument("--series", default=None, help='series text, e.g. "1,-1,-1;1"')
     attractor.add_argument("--depth", type=int, default=14)
-    attractor.add_argument("--set", default="m", help="m: three maps, m0: two maps")
+    attractor.add_argument("--set", type=str.lower, choices=tuple(SETS), default="m",
+                           help="m: three maps, m0: two maps")
     attractor.add_argument("--window", default=None, help="x0,y0,x1,y1 (default: bounding disk)")
     attractor.add_argument("--px", default="800,800", help="W,H")
     attractor.add_argument("--out", required=True)
-    attractor.add_argument("--overlay", default="none", help="none | instar | chain")
+    attractor.add_argument("--overlay", choices=("none", "instar", "chain"), default="none")
     attractor.add_argument("--level", type=int, default=3, help="instar overlay level")
     attractor.add_argument("--periods", type=int, default=2,
                            help=f"chain overlay periods, 1..{MAX_PERIODS}")
@@ -382,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     cert = sub.add_parser("certify", help="run the accessibility certificate")
     cert.add_argument("--series", required=True)
     cert.add_argument("--seed", required=True, help="re,im Newton seed")
-    cert.add_argument("--set", default="m", help="target locus: m or m0")
+    cert.add_argument("--set", type=str.lower, choices=tuple(SETS), default="m",
+                      help="target locus: m or m0")
     cert.add_argument("--out", default=None, help="JSON report path (default: stdout)")
 
     marks = sub.add_parser("landmarks", help="evaluate the landmark suite")
@@ -404,10 +416,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "render":
             window, w, h = _parse_frame(args.window, args.px)
-            config = RenderConfig(
-                window, w, h, args.depth, _parse_set(args.set), args.out
+            if args.depth < 1:
+                raise ParseError("--depth must be >= 1")
+            return cmd_render(
+                window, w, h, args.depth, SETS[args.set], args.out, argv, args.report
             )
-            return cmd_render(config, argv, args.report)
 
         if args.command == "attractor":
             seed = _parse_complex(args.seed, "--seed")
@@ -417,7 +430,7 @@ def main(argv=None) -> int:
                 raise ParseError("--depth and --level must be >= 0")
             if not 1 <= args.periods <= MAX_PERIODS:
                 raise ParseError(f"--periods must be 1..{MAX_PERIODS}, got {args.periods}")
-            alphabet = ifs.TERNARY if _parse_set(args.set) == paramspace.SET_M else ifs.BINARY
+            alphabet = ifs.TERNARY if args.set == "m" else ifs.BINARY
             if series is None:
                 lam = paramspace._check_lambda(seed)
             else:
@@ -431,8 +444,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             series = RationalTypeSeries.parse(args.series)
             seed = _parse_complex(args.seed, "--seed")
-            target = "M" if _parse_set(args.set) == paramspace.SET_M else "M0"
-            return cmd_certify(series, seed, target, args.out, argv)
+            return cmd_certify(series, seed, SETS[args.set], args.out, argv)
 
         if args.command == "landmarks":
             if args.id is not None and args.id not in range(1, 7):

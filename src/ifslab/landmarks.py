@@ -21,12 +21,11 @@ import math
 from dataclasses import dataclass
 
 from .certificate import (
+    ROOT_TOL,
     ConditionRecord,
     certify,
-    chain_disk,
     parameter_probe,
     record_inequality,
-    selfsim_center,
 )
 from .errors import NotARoot, UnknownLandmark
 from .numerics import newton_root
@@ -122,7 +121,7 @@ def existence_margins(f: RationalTypeSeries, lam: complex) -> list[ConditionReco
     exists.
     """
     lam = complex(lam)
-    if abs(rational_eval(f, lam)) >= 1e-8:
+    if abs(rational_eval(f, lam)) >= ROOT_TOL:
         raise NotARoot(f"lambda={lam} is not a root of {f}")
     absl = abs(lam)
     R = 1.0 / (1.0 - absl)
@@ -136,11 +135,13 @@ def existence_margins(f: RationalTypeSeries, lam: complex) -> list[ConditionReco
 
 @dataclass(frozen=True)
 class LandmarkOutcome:
+    """The fields, in order, are the keys of a ``landmarks --out`` outcome
+    record, with ``root`` written as {"re", "im"}."""
+
     id: int
     root: complex
     residual: float
     in_sector: bool
-    sector_ok: bool
     inequality_margins: tuple[float, ...]
     overlap_count: int
     verdict: str
@@ -169,8 +170,8 @@ def evaluate_landmark(i: int, probe_depth: int = 40) -> LandmarkOutcome:
     report = certify(lm.series, root, target="M")
     min_margin = min(r.margin for r in report.conditions)
 
-    z = selfsim_center(lm.series, root)
-    b_out = chain_disk(lm.series, root, 0).center
+    z = report.center
+    b_out = report.chain[0].center
     probe_out = membership(parameter_probe(lm.series, root, b_out, 4), "M", probe_depth)
     probe_in = membership(
         parameter_probe(lm.series, root, 2 * z - b_out, 4), "M", probe_depth
@@ -211,7 +212,6 @@ def evaluate_landmark(i: int, probe_depth: int = 40) -> LandmarkOutcome:
         root=root,
         residual=residual,
         in_sector=in_sector,
-        sector_ok=in_sector == lm.in_sector,
         inequality_margins=tuple(r.margin for r in records),
         overlap_count=len(overlap.points),
         verdict=report.verdict,

@@ -25,7 +25,7 @@ from ifslab import (
     sector_inequalities,
     verify_chain,
 )
-from ifslab.cli import RenderConfig, cmd_render
+from ifslab.cli import cmd_render
 from ifslab.landmarks import existence_margins
 
 from conftest import random_lambda
@@ -212,10 +212,9 @@ def test_criterion_12_render_determinism(tmp_path):
     t0 = time.perf_counter()
     window = (0.0, 0.0, 0.708, 0.708)
     out = tmp_path / "run.ppm"
-    config = RenderConfig(window, 256, 256, 25, "M", str(out))
     blobs = []
     for _ in range(2):
-        cmd_render(config, ["render"])
+        cmd_render(window, 256, 256, 25, "M", str(out), ["render"])
         blobs.append(out.read_bytes())
     elapsed = time.perf_counter() - t0
     identical = blobs[0] == blobs[1]

@@ -8,6 +8,7 @@ from ifslab import (
     BadIndices,
     EnumerationTooLarge,
     HypothesisViolated,
+    LevelTooDeep,
     NotARoot,
     RationalTypeSeries,
     certify,
@@ -26,7 +27,7 @@ from ifslab import (
     verify_chain,
     weakened_conditions,
 )
-from ifslab import ifs
+from ifslab import certificate, ifs
 from ifslab.certificate import (
     _instar_clearance,
     _worst_separation,
@@ -414,6 +415,19 @@ class TestStreamedCertificate:
         lines = [r for r in report.failure_reasons if r.startswith(f"condition ({which})")]
         assert len(lines) == len(failing)
 
+
+    @pytest.mark.parametrize("target", ["M", "M0"])
+    def test_period8_refused_before_any_separation_search(self, monkeypatch, target):
+        # 2p = 16 chain levels exceed the geometry's guard of 14; the refusal
+        # comes before the 5^(n+1) (resp. 3^(n+1)) searches of condition (iii)
+        def searched(*args):
+            raise AssertionError("condition (iii) searched before the level guard")
+
+        monkeypatch.setattr(certificate, "_worst_separation", searched)
+        f = RationalTypeSeries.parse("1;1,1,-1,1,1,-1,-1,1")
+        lam = newton_root(numerator_polynomial(f), -0.377 + 0.545j)
+        with pytest.raises(LevelTooDeep):
+            certify(f, lam, target=target)
 
 class TestReportRoundTrip:
     def test_json_round_trip_field_exact(self, roots, fixtures):

@@ -1,13 +1,26 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ifslab
 from ifslab import ifs
-from ifslab.cli import MAX_PERIODS, _parse_px, _parse_window, main
+from ifslab.cli import (
+    MAX_PERIODS,
+    MAX_PIXELS,
+    _parse_frame,
+    _parse_px,
+    _parse_window,
+    cmd_attractor,
+    main,
+)
 from ifslab.errors import ParseError
 from ifslab.numerics import newton_root
 from ifslab.series import RationalTypeSeries, numerator_polynomial
@@ -84,6 +97,9 @@ class TestRender:
     @pytest.mark.parametrize("window, px", [
         ("0,0,inf,1", "4,4"),
         ("0.50,-0.01,0.54,0.01", "4.7,4"),
+        # over MAX_PIXELS = 8192 x 8192, far and just
+        ("0,0,1,1", "100000000000000000000,1"),
+        ("0,0,1,1", "8193,8192"),
     ])
     def test_malformed_px_or_window_usage_error(self, tmp_path, window, px):
         out = tmp_path / "x.ppm"
@@ -190,6 +206,8 @@ class TestAttractor:
         ["--window", "0,0,nan,1"],
         ["--depth=-1"],
         ["--overlay", "instar", "--level=-2"],
+        ["--px", "100000000000000000000,1"],
+        ["--px", "8193,8192"],
     ])
     def test_bad_values_usage_error(self, tmp_path, extra):
         out = tmp_path / "x.ppm"
@@ -255,6 +273,47 @@ class TestAttractor:
             "--px", "50,50", "--overlay", "blobs", "--out", str(tmp_path / "x.ppm"),
         ])
         assert code == 2
+
+    REFUSALS = {
+        "unknown-overlay": (["--overlay", "blobs"], 2),
+        "chain-without-series": (["--overlay", "chain"], 2),
+        "instar-level-over-guard": (["--overlay", "instar", "--level", "15"], 3),
+        "binary-instar-level-over-guard": (
+            ["--overlay", "instar", "--set", "m0", "--level", "23"], 3),
+        # a level-0 instar circle (radius ~1.8) in a 1e-6 window at 400 px
+        # would take 16 r 400/1e-6 ~ 1.1e10 samples
+        "circle-ceiling": (["--overlay", "instar", "--level", "0",
+                            "--window=0,0,1e-6,1e-6", "--px", "400,400"], 2),
+        "chain-circle-ceiling": (["--overlay", "chain", "--series", "1,-1,-1;1",
+                                  "--window=0,0,1e-6,1e-6", "--px", "400,400"], 2),
+    }
+
+    @pytest.fixture
+    def no_level_walk(self, monkeypatch):
+        def walked(*args, **kwargs):
+            raise AssertionError("a level was walked before the refusal")
+
+        monkeypatch.setattr(ifs, "level_blocks", walked)
+        monkeypatch.setattr(ifs, "level_nodes", walked)
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusal_walks_no_level(self, tmp_path, no_level_walk, case):
+        extra, code = self.REFUSALS[case]
+        out = tmp_path / "x.ppm"
+        assert main([
+            "attractor", "--seed", "0.6,0.25", "--depth", "14", "--px", "50,50",
+            "--out", str(out), *extra,
+        ]) == code
+        assert not out.exists()
+
+    def test_chain_at_non_root_walks_no_level(self, tmp_path, no_level_walk):
+        # the command line always puts lambda at a root of --series; a direct
+        # caller need not
+        out = tmp_path / "x.ppm"
+        with pytest.raises(ParseError, match="root"):
+            cmd_attractor(0.6 + 0.25j, 14, "ternary", None, 50, 50, str(out),
+                          overlay="chain", series=RationalTypeSeries.parse("1,-1,-1;1"))
+        assert not out.exists()
 
 
 LANDMARK5 = ("1;1,1,-1", -0.37 + 0.52j)
@@ -458,6 +517,36 @@ class TestUsage:
         assert main(["--version"]) == 0
         assert "ifslab" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["render", "attractor", "certify"])
+    def test_set_choices(self, tmp_path, command, capsys):
+        assert main([command, "--set", "x", "--out", str(tmp_path / "x")]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+def _entry_point(*args):
+    """``python -m ifslab.cli`` with ``args`` in a fresh interpreter."""
+    src = str(Path(ifslab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ifslab.cli", *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+
+
+class TestEntryPoint:
+    def test_version(self):
+        run = _entry_point("--version")
+        assert run.returncode == 0
+        assert run.stdout.startswith("ifslab ")
+
+    def test_bad_set_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "x.ppm"
+        run = _entry_point("render", "--window", "0,0,1,1", "--px", "2,2",
+                           "--set", "x", "--out", str(out))
+        assert run.returncode == 2
+        assert "usage:" in run.stderr
+        assert not out.exists()
+
 
 #: Arbitrary text, and comma-joined fields that are often numbers.
 _FIELD = st.one_of(
@@ -491,6 +580,20 @@ class TestInputParsers:
     @given(st.integers(1, 10**6), st.integers(1, 10**6))
     def test_px_accepts_positive_integers(self, width, height):
         assert _parse_px(f"{width},{height}") == (width, height)
+
+    @given(st.integers(1, MAX_PIXELS), st.integers(1, MAX_PIXELS))
+    def test_frame_pixel_ceiling(self, width, height):
+        try:
+            frame = _parse_frame(None, f"{width},{height}")
+        except ParseError:
+            assert width * height > MAX_PIXELS
+            return
+        assert frame == (None, width, height)
+        assert width * height <= MAX_PIXELS
+
+    def test_frame_pixel_ceiling_is_inclusive(self):
+        assert _parse_frame(None, "8192,8192") == (None, 8192, 8192)
+        assert _parse_frame("0,0,1,1", f"{MAX_PIXELS},1")[1:] == (MAX_PIXELS, 1)
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=4, max_size=4, unique=True))
