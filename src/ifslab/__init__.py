@@ -19,7 +19,6 @@ from .errors import (
     ZerosInPeriod,
 )
 from .numerics import (
-    Disk,
     hausdorff_distance,
     hausdorff_dr,
     newton_root,
@@ -39,11 +38,8 @@ from .series import (
 from .ifs import (
     BINARY,
     TERNARY,
-    NodalDisk,
     Word,
-    apply_map,
     attractor_sample,
-    instar_disks,
     node,
     overlap_itinerary,
     selfsim_residuals,

@@ -212,11 +212,10 @@ def _circle_steps(radius: float, window, width: int, height: int) -> int:
     return max(64, int(needed))
 
 
-def _draw_circles(rgb: np.ndarray, window, centers: np.ndarray, radius: float, color) -> None:
-    """Parametric outlines of circles of one radius around ``centers``, with
-    ``_circle_steps`` samples per circle, in batches of about
-    ``ifs._BLOCK_NODES`` samples."""
-    height, width, _ = rgb.shape
+def _draw_circles(window, width: int, height: int, centers: np.ndarray, radius: float):
+    """The (cols, rows) pairs for ``_paint`` of the parametric outlines of
+    circles of one radius around ``centers``, with ``_circle_steps`` samples
+    per circle, in batches of about ``ifs._BLOCK_NODES`` samples."""
     x0, y0, x1, y1 = window
     sx = width / (x1 - x0)
     sy = height / (y1 - y0)
@@ -227,19 +226,19 @@ def _draw_circles(rgb: np.ndarray, window, centers: np.ndarray, radius: float, c
     batch = max(1, ifs._BLOCK_NODES // steps)
     # (xs - x0) * sx floors some samples to other pixels than the attractor
     # points' (x - x0) * W / (x1 - x0); images depend on both staying as is
-    _paint(rgb, (
-        (np.floor((c.real[:, None] + dx - x0) * sx),
-         np.floor((y1 - (c.imag[:, None] + dy)) * sy))
-        for c in (centers[i:i + batch] for i in range(0, centers.size, batch))
-    ), color)
+    for i in range(0, centers.size, batch):
+        c = centers[i:i + batch]
+        yield (np.floor((c.real[:, None] + dx - x0) * sx),
+               np.floor((y1 - (c.imag[:, None] + dy)) * sy))
 
 
 def _overlay_circles(
     lam: complex, alphabet: str, window, width: int, height: int, overlay: str,
     level: int, series: RationalTypeSeries | None, periods: int,
-) -> list:
-    """The circles of ``overlay`` as (centers, radius, color) triples, each
-    ``centers`` a function giving the array of circle centres.
+) -> tuple[list, tuple[int, int, int] | None]:
+    """The circles of ``overlay`` as (centers, radius) pairs, each
+    ``centers`` a function giving the array of circle centres, and the one
+    colour they are all drawn in (None without circles).
 
     Every refusal of the overlay comes from here, before any level is walked:
     the instar level guard, ``chain`` without ``--series`` or at a non-root,
@@ -248,20 +247,22 @@ def _overlay_circles(
     if overlay == "instar":
         ifs._check_level(level, alphabet)
         circles = [(functools.partial(ifs.level_nodes, lam, level, alphabet),
-                    ifs.nodal_radius(lam, level), (160, 160, 160))]
+                    ifs.nodal_radius(lam, level))]
+        color = (160, 160, 160)
     elif overlay == "chain":
         if series is None:
             raise ParseError("--overlay chain requires --series")
         if abs(rational_eval(series, lam)) >= certificate.ROOT_TOL:
             raise ParseError("--overlay chain requires lambda to be a root of --series")
         disks = (certificate.chain_disk(series, lam, n) for n in range(periods * series.period))
-        circles = [(functools.partial(np.array, [disk.center]), disk.radius, (0, 160, 0))
+        circles = [(functools.partial(np.array, [disk.center]), disk.radius)
                    for disk in disks if disk.radius > 0]
+        color = (0, 160, 0)
     else:
-        circles = []
-    for _, radius, _ in circles:
+        circles, color = [], None
+    for _, radius in circles:
         _circle_steps(radius, window, width, height)
-    return circles
+    return circles, color
 
 
 def cmd_attractor(
@@ -282,7 +283,7 @@ def cmd_attractor(
     if window is None:
         bound = 1.0 / (1.0 - abs(lam))
         window = (-bound, -bound, bound, bound)
-    circles = _overlay_circles(
+    circles, color = _overlay_circles(
         lam, alphabet, window, width, height, overlay, overlay_level, series, periods
     )
     blocks = ifs.level_blocks(lam, depth, alphabet)
@@ -293,8 +294,11 @@ def cmd_attractor(
          np.floor((y1 - samples.imag) * height / (y1 - y0)))
         for samples in blocks
     ), (0, 0, 0))
-    for centers, radius, color in circles:
-        _draw_circles(rgb, window, centers(), radius, color)
+    if circles:
+        _paint(rgb, (
+            pixels for centers, radius in circles
+            for pixels in _draw_circles(window, width, height, centers(), radius)
+        ), color)
     write_ppm(out, rgb)
     return EXIT_OK
 

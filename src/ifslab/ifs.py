@@ -1,27 +1,25 @@
-"""Symbolic words, contraction maps, instars, nodal disks, and attractor
-sampling for the planar IFS {-1 + lz, lz, 1 + lz}.
+"""Words, nodes, instars and attractor sampling for the planar IFS
+{-1 + lz, lz, 1 + lz}.
 
 A word w = a_0 ... a_k over {-1, 0, +1} indexes the node
-nu_w = sum a_j lambda^j and the nodal disk of radius |lambda|^{k+1} * R
-around it, R = (1 - |lambda|)^{-1}.  The union of nodal disks over all words
-of a fixed length is the instar at that level; instars shrink onto the
-attractor.  Enumeration is always lexicographic with minus < center < plus,
-so outputs are deterministic.  Whole levels (``level_nodes``) and bounded
-blocks of a level (``level_blocks``) are built by one fold, so a node has the
-same bits either way.  The blocks stream both the certificate's searches and
-the attractor raster of the command line, whose memory is therefore flat in
-the level.
+nu_w = sum a_j lambda^j.  The instar at level k is the union of the disks of
+one radius |lambda|^{k+1} * R, R = (1 - |lambda|)^{-1} (``nodal_radius``),
+around the nodes of all words of length k+1 (``level_nodes``); instars
+shrink onto the attractor.  Enumeration is always lexicographic with
+minus < center < plus, so outputs are deterministic.  Whole levels
+(``level_nodes``) and bounded blocks of a level (``level_blocks``) are built
+by one fold, so a node has the same bits either way.  The blocks stream both
+the certificate's searches and the attractor raster of the command line,
+whose memory is therefore flat in the level.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LevelTooDeep
-from .numerics import Disk
 from .series import RationalTypeSeries, coeff_at
 
 BINARY = "binary"
@@ -30,9 +28,6 @@ TERNARY = "ternary"
 #: Deepest enumerable level per alphabet; keeps full enumerations at desk
 #: scale (3^15 points is the worst case).
 MAX_LEVEL = {BINARY: 22, TERNARY: 14}
-
-_CHAR_TO_LETTER = {"-": -1, "O": 0, "+": 1}
-_LETTER_TO_CHAR = {-1: "-", 0: "O", 1: "+"}
 
 
 @dataclass(frozen=True)
@@ -48,28 +43,8 @@ class Word:
         if self.binary and any(a == 0 for a in self.letters):
             raise ValueError("binary word contains the center letter")
 
-    @classmethod
-    def parse(cls, text: str, binary: bool = False) -> "Word":
-        try:
-            letters = tuple(_CHAR_TO_LETTER[ch] for ch in text)
-        except KeyError as exc:
-            raise ValueError(f"bad letter {exc.args[0]!r}; use -, O, +") from None
-        return cls(letters, binary)
-
-    def __str__(self) -> str:
-        return "".join(_LETTER_TO_CHAR[a] for a in self.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
-
-
-@dataclass(frozen=True)
-class NodalDisk:
-    """Node nu_w with its instar disk."""
-
-    word: Word
-    node: complex
-    disk: Disk
 
 
 def _signs(alphabet: str) -> tuple[int, ...]:
@@ -88,13 +63,6 @@ def _check_level(level: int, alphabet: str) -> None:
         raise LevelTooDeep(
             f"level {level} exceeds guard {MAX_LEVEL[alphabet]} for {alphabet}"
         )
-
-
-def apply_map(letter: int, lam: complex, z: complex) -> complex:
-    """The contraction s_a(z) = a + lambda*z for a in {-1, 0, +1}."""
-    if letter not in (-1, 0, 1):
-        raise ValueError("letter must lie in {-1, 0, +1}")
-    return letter + lam * z
 
 
 def node(word: Word, lam: complex) -> complex:
@@ -178,29 +146,10 @@ def level_blocks(lam: complex, level: int, alphabet: str = TERNARY):
     return _level_blocks(complex(lam), level, signs)
 
 
-def level_words(level: int, alphabet: str = TERNARY):
-    """Words of length level+1 in lexicographic order (generator)."""
-    _check_level(level, alphabet)
-    signs = _signs(alphabet)
-    binary = alphabet == BINARY
-    for letters in itertools.product(signs, repeat=level + 1):
-        yield Word(letters, binary)
-
-
 def nodal_radius(lam: complex, level: int) -> float:
     """Radius |lambda|^{level+1} / (1 - |lambda|) of every level-n disk."""
     absl = abs(lam)
     return absl ** (level + 1) / (1.0 - absl)
-
-
-def instar_disks(level: int, lam: complex, alphabet: str = TERNARY) -> list[NodalDisk]:
-    """All nodal disks of the level-n instar, lexicographic by word."""
-    nodes = level_nodes(lam, level, alphabet)
-    radius = nodal_radius(lam, level)
-    return [
-        NodalDisk(word, complex(center), Disk(complex(center), radius))
-        for word, center in zip(level_words(level, alphabet), nodes)
-    ]
 
 
 def attractor_sample(lam: complex, depth: int, alphabet: str = BINARY) -> np.ndarray:

@@ -1,13 +1,11 @@
-"""Scalar complex numerics: disks, polynomial evaluation, Newton roots, and
-the truncated Hausdorff distance d_r on finite point sets.
+"""Scalar complex numerics: polynomial evaluation, Newton roots, and the
+truncated Hausdorff distance d_r on finite point sets.
 
 All arithmetic is plain binary64.  Point sets are numpy arrays of complex128;
 anything array-like is accepted and converted.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,21 +17,6 @@ from .errors import DerivativeVanished, NoConvergence
 BOUNDARY_SAMPLES = 256
 
 NEWTON_MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class Disk:
-    """Closed disk in the complex plane."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius >= 0.0):
-            raise ValueError(f"disk radius must be >= 0, got {self.radius}")
-
-    def contains(self, z: complex, slack: float = 0.0) -> bool:
-        return abs(z - self.center) <= self.radius + slack
 
 
 def poly_eval(coeffs, z: complex) -> complex:

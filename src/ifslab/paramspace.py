@@ -141,36 +141,24 @@ def survivors(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     thr2 = _prune_bounds_sq(abs(lam), depth)
-    found: list[tuple[int, ...]] = []
-    overflow = False
     if 1.0 > thr2[0]:
         return SurvivorList((), False)
     powers = [lam**k for k in range(depth)]
-
-    prefix = [1]
-
-    def extend(k: int, value: complex) -> bool:
-        nonlocal overflow
-        if k == depth - 1:
-            if len(found) >= cap:
-                overflow = True
-                return False
-            found.append(tuple(prefix))
-            return True
-        k1 = k + 1
-        pw = powers[k1]
-        for digit in digits:
-            child = value + digit * pw
+    found: list[tuple[int, ...]] = []
+    stack = [((1,), complex(1.0))]
+    # one leaf past the cap is enough to know the list overflowed
+    while stack and len(found) <= cap:
+        prefix, value = stack.pop()
+        k1 = len(prefix)
+        if k1 == depth:
+            found.append(prefix)
+            continue
+        # children pushed plus-first so the minus branch pops first (lex order)
+        for digit in reversed(digits):
+            child = value + digit * powers[k1]
             if child.real**2 + child.imag**2 <= thr2[k1]:
-                prefix.append(digit)
-                keep_going = extend(k1, child)
-                prefix.pop()
-                if not keep_going:
-                    return False
-        return True
-
-    extend(0, complex(1.0))
-    return SurvivorList(tuple(found), overflow)
+                stack.append((prefix + (digit,), child))
+    return SurvivorList(tuple(found[:cap]), len(found) > cap)
 
 
 def _pixel_centers(window, width, height):

@@ -38,6 +38,31 @@ def exhaustive_verdict(lam, set_kind, depth):
     return bool(np.any(ok))
 
 
+def survivors_bruteforce(lam, set_kind, depth):
+    """Every coefficient prefix of the given length, in lexicographic order,
+    whose partial sums pass the squared tail bound at every truncation level:
+    the filter of ``paramspace.survivors`` applied to all prefixes, with no
+    pruning and no cap."""
+    digits = (-1, 0, 1) if set_kind == "M" else (-1, 1)
+    absl = abs(lam)
+    R = 1.0 / (1.0 - absl)
+    bounds_sq = [(absl ** (k + 1) * R + PRUNE_GUARD * R) ** 2 for k in range(depth)]
+    if 1.0 > bounds_sq[0]:
+        return ()
+    powers = [lam**k for k in range(depth)]
+    found = []
+    for tail in itertools.product(digits, repeat=depth - 1):
+        prefix = (1,) + tail
+        value = complex(1.0)
+        for k in range(1, depth):
+            value = value + prefix[k] * powers[k]
+            if value.real**2 + value.imag**2 > bounds_sq[k]:
+                break
+        else:
+            found.append(prefix)
+    return tuple(found)
+
+
 def taylor_naive(coeff_fn, lam, k):
     """Power-sum Taylor evaluation using an explicit coefficient callback."""
     return sum(coeff_fn(j) * lam**j for j in range(k + 1))

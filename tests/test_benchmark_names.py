@@ -1,0 +1,43 @@
+"""The names of ``ifslab`` that the benchmark in ``perfbench/`` calls.
+
+The benchmark's tracer wraps a fixed list of functions by name, and its
+thread probe passes ``threads=2``.  Without these tests, removing or renaming
+one of them would surface only when ``perfbench/run.py --trace 1`` runs."""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+from ifslab import ifs, paramspace
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_wraps_and_restores_every_traced_name(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    originals = {
+        (layer, attr): getattr(importlib.import_module(f"ifslab.{layer}"), attr)
+        for layer, attr in spans.TRACED
+    }
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for (layer, attr), original in originals.items():
+            assert getattr(importlib.import_module(f"ifslab.{layer}"), attr) is not original
+        ifs.attractor_sample(0.5, 2, ifs.BINARY)
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans] == ["ifs.attractor_sample", "ifs.level_nodes"]
+    for (layer, attr), original in originals.items():
+        assert getattr(importlib.import_module(f"ifslab.{layer}"), attr) is original
+
+
+def test_thread_probe_keywords_change_nothing():
+    window = (0.5, -0.05, 0.6, 0.05)
+    grids = [paramspace.escape_grid(window, 5, 3, paramspace.SET_M, 12, threads=t).values
+             for t in (1, 2)]
+    assert np.array_equal(grids[0], grids[1])
+    nodes = [ifs.level_nodes(0.52 + 0.31j, 6, ifs.TERNARY, threads=t) for t in (1, 2)]
+    assert nodes[0].tobytes() == nodes[1].tobytes()

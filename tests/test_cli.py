@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ifslab
-from ifslab import ifs
+from ifslab import cli, ifs
 from ifslab.cli import (
     MAX_PERIODS,
     MAX_PIXELS,
@@ -345,6 +345,8 @@ class TestStreamedAttractor:
                       periods=3),
         "chain-clipped": dict(lam=LANDMARK5, depth=9, alphabet="ternary",
                               overlay="chain", window=(0.5, 0.5, 2.5, 2.0)),
+        "chain64": dict(lam=LANDMARK5, depth=2, alphabet="ternary", overlay="chain",
+                        periods=64, px=(400, 400)),
         # At lambda = 1/2 the nodes and the circle samples at t = 0 and pi
         # are dyadic, so these windows put some of them where
         # (x - x0) * W / (x1 - x0) and (x - x0) * (W / (x1 - x0)) floor to
@@ -387,6 +389,20 @@ class TestStreamedAttractor:
         # circles per batch
         monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
         self._check(tmp_path, **self.CASES[case])
+
+    @pytest.mark.parametrize("case", ["depth0", "instar8", "chain64"])
+    def test_one_paint_for_the_points_and_one_per_overlay(self, tmp_path, monkeypatch, case):
+        # every _paint call allocates and scans a W*H mask
+        calls = []
+        paint = cli._paint
+
+        def counted(*args):
+            calls.append(args)
+            paint(*args)
+
+        monkeypatch.setattr(cli, "_paint", counted)
+        self._check(tmp_path, **self.CASES[case])
+        assert len(calls) <= 2
 
     def test_memory_flat_in_depth(self, tmp_path):
         # the level alone is 2^21 complex nodes, 33.5 MB

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,60 +8,42 @@ from ifslab import (
     LevelTooDeep,
     RationalTypeSeries,
     Word,
-    apply_map,
     attractor_sample,
-    instar_disks,
     node,
     overlap_itinerary,
     selfsim_residuals,
 )
 from ifslab import ifs
-from ifslab.ifs import MAX_LEVEL, level_blocks, level_nodes, level_words, nodal_radius
+from ifslab.ifs import MAX_LEVEL, level_blocks, level_nodes, nodal_radius
 
 LAM_RECT = 1j / math.sqrt(2)
 
 
 class TestWord:
-    def test_parse_and_str(self):
-        w = Word.parse("+-O+")
+    def test_letters_and_len(self):
+        w = Word((1, -1, 0, 1))
         assert w.letters == (1, -1, 0, 1)
-        assert str(w) == "+-O+"
         assert len(w) == 4
 
     def test_binary_rejects_center(self):
         with pytest.raises(ValueError):
-            Word.parse("+O-", binary=True)
+            Word((1, 0, -1), binary=True)
 
     def test_bad_letter(self):
         with pytest.raises(ValueError):
-            Word.parse("+x")
-
-
-class TestApplyMap:
-    def test_plus_translation(self):
-        assert apply_map(1, 0.5, 0j) == 1
-
-    def test_minus_hand_arithmetic(self):
-        assert apply_map(-1, LAM_RECT, 1 + 0j) == pytest.approx(-1 + LAM_RECT)
-
-    def test_center_fixes_origin(self):
-        assert apply_map(0, 0.3 + 0.9j, 0j) == 0
-
-    def test_bad_letter(self):
-        with pytest.raises(ValueError):
-            apply_map(2, 0.5, 0j)
+            Word((1, 2))
 
 
 class TestNode:
     def test_single_plus(self):
-        assert node(Word.parse("+"), 0.77 + 0.1j) == 1
+        assert node(Word((1,)), 0.77 + 0.1j) == 1
 
     def test_two_letters(self):
-        assert node(Word.parse("+-"), 0.5) == pytest.approx(0.5)
+        assert node(Word((1, -1)), 0.5) == pytest.approx(0.5)
 
     def test_matches_direct_sum(self, roots):
         lam = roots[5]
-        assert node(Word.parse("++-"), lam) == pytest.approx(1 + lam - lam**2)
+        assert node(Word((1, 1, -1)), lam) == pytest.approx(1 + lam - lam**2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -69,65 +52,63 @@ class TestNode:
     def test_composition_of_maps(self):
         # node of word w equals s_w(0)
         lam = 0.4 + 0.3j
-        w = Word.parse("+-O+")
+        w = Word((1, -1, 0, 1))
         z = 0j
         for letter in reversed(w.letters):
-            z = apply_map(letter, lam, z)
+            z = letter + lam * z
         assert abs(node(w, lam) - z) < 1e-14
 
 
 class TestInstarDisks:
+    """The level-n instar: the nodes of ``level_nodes`` with the one radius
+    of ``nodal_radius``."""
+
     def test_level0_binary(self):
-        disks = instar_disks(0, 0.5, "binary")
-        assert [d.node for d in disks] == [-1, 1]
-        assert all(d.disk.radius == pytest.approx(1.0) for d in disks)
+        assert level_nodes(0.5, 0, "binary").tolist() == [-1, 1]
+        assert nodal_radius(0.5, 0) == pytest.approx(1.0)
 
     def test_level1_ternary_count(self):
-        assert len(instar_disks(1, 0.3 + 0.2j, "ternary")) == 9
+        assert level_nodes(0.3 + 0.2j, 1, "ternary").size == 9
 
     def test_counts(self):
-        assert len(instar_disks(3, 0.4 + 0.2j, "binary")) == 2**4
-        assert len(instar_disks(3, 0.4 + 0.2j, "ternary")) == 3**4
+        assert level_nodes(0.4 + 0.2j, 3, "binary").size == 2**4
+        assert level_nodes(0.4 + 0.2j, 3, "ternary").size == 3**4
 
     def test_rectangle_box(self):
         # at lam = i/sqrt(2) the attractor is the rectangle [-2,2]x[-r2,r2]
-        disks = instar_disks(2, LAM_RECT, "binary")
+        nodes = level_nodes(LAM_RECT, 2, "binary")
         inflate = nodal_radius(LAM_RECT, 2)
-        for d in disks:
-            assert abs(d.node.real) <= 2 + inflate + 1e-12
-            assert abs(d.node.imag) <= math.sqrt(2) + inflate + 1e-12
+        assert np.all(np.abs(nodes.real) <= 2 + inflate + 1e-12)
+        assert np.all(np.abs(nodes.imag) <= math.sqrt(2) + inflate + 1e-12)
 
     def test_words_lexicographic(self):
-        words = [str(d.word) for d in instar_disks(1, 0.5, "ternary")]
-        assert words == ["--", "-O", "-+", "O-", "OO", "O+", "+-", "+O", "++"]
+        nodes = level_nodes(0.5, 1, "ternary")
+        words = itertools.product((-1, 0, 1), repeat=2)
+        assert nodes.tolist() == [a0 + a1 * 0.5 for a0, a1 in words]
 
     def test_children_inside_parent(self):
         lam = 0.55 + 0.2j
         for level in range(4):
-            parents = instar_disks(level, lam, "ternary")
-            children = instar_disks(level + 1, lam, "ternary")
-            for idx, child in enumerate(children):
-                parent = parents[idx // 3]
-                gap = abs(child.node - parent.node) + child.disk.radius
-                assert gap <= parent.disk.radius + 1e-12
+            parents = level_nodes(lam, level, "ternary")
+            children = level_nodes(lam, level + 1, "ternary")
+            gap = np.abs(children - np.repeat(parents, 3)) + nodal_radius(lam, level + 1)
+            assert np.all(gap <= nodal_radius(lam, level) + 1e-12)
 
     def test_radius_per_level(self):
         lam = 0.61 + 0.13j
         R = 1 / (1 - abs(lam))
         for level in range(11):
-            radii = {d.disk.radius for d in instar_disks(level, lam, "binary")}
-            assert len(radii) == 1
-            assert radii.pop() == pytest.approx(abs(lam) ** (level + 1) * R)
+            assert nodal_radius(lam, level) == pytest.approx(abs(lam) ** (level + 1) * R)
 
     def test_level_guards(self):
         with pytest.raises(LevelTooDeep):
-            instar_disks(MAX_LEVEL["ternary"] + 1, 0.5 + 0.1j, "ternary")
+            level_nodes(0.5 + 0.1j, MAX_LEVEL["ternary"] + 1, "ternary")
         with pytest.raises(LevelTooDeep):
             level_nodes(0.5 + 0.1j, MAX_LEVEL["binary"] + 1, "binary")
 
     def test_bad_alphabet(self):
         with pytest.raises(ValueError):
-            instar_disks(1, 0.5, "decimal")
+            level_nodes(0.5, 1, "decimal")
 
 
 class TestAttractorSample:
@@ -155,7 +136,12 @@ class TestAttractorSample:
     def test_matches_word_enumeration(self):
         lam = 0.4 + 0.45j
         pts = attractor_sample(lam, 3, "ternary")
-        from_words = [node(w, lam) for w in level_words(3, "ternary")]
+        from_words = []
+        for letters in itertools.product((-1, 0, 1), repeat=4):
+            z = 0j
+            for letter in reversed(letters):
+                z = letter + lam * z
+            from_words.append(z)
         assert np.allclose(pts, from_words, rtol=0, atol=1e-14)
 
 

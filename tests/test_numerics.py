@@ -5,7 +5,6 @@ import pytest
 
 from ifslab import (
     DerivativeVanished,
-    Disk,
     NoConvergence,
     hausdorff_distance,
     hausdorff_dr,
@@ -91,17 +90,6 @@ class TestNewton:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             newton_root([3], 1.0)
-
-
-class TestDisk:
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            Disk(0j, -0.1)
-
-    def test_contains(self):
-        disk = Disk(1 + 0j, 0.5)
-        assert disk.contains(1.2 + 0.3j)
-        assert not disk.contains(2j)
 
 
 class TestTruncateSet:

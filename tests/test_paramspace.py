@@ -9,7 +9,7 @@ from ifslab import (
 )
 
 from conftest import random_lambda
-from oracles import exhaustive_verdict
+from oracles import exhaustive_verdict, survivors_bruteforce
 
 
 class TestMembership:
@@ -114,6 +114,22 @@ class TestSurvivors:
         capped = survivors(lam, "M", 8, cap=5)
         assert capped.overflow
         assert capped.prefixes == full.prefixes[:5]
+
+    @pytest.mark.parametrize("set_kind", ["M", "M0"])
+    def test_equals_unpruned_filter(self, set_kind):
+        rng = np.random.default_rng(23)
+        overflowed = kept_all = 0
+        for _ in range(12):
+            lam = random_lambda(rng, 0.45, 0.85)
+            for depth in (1, 2, 5, 8):
+                full = survivors_bruteforce(lam, set_kind, depth)
+                for cap in (1, 3, 40, 10**6):
+                    out = survivors(lam, set_kind, depth, cap)
+                    assert out.prefixes == full[:cap]
+                    assert out.overflow == (len(full) > cap)
+                    overflowed += out.overflow
+                    kept_all += bool(full) and not out.overflow
+        assert overflowed and kept_all
 
     def test_prefixes_start_with_one(self, roots):
         out = survivors(roots[4], "M", 8, cap=1000)
