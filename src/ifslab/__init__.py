@@ -18,13 +18,7 @@ from .errors import (
     UnknownLandmark,
     ZerosInPeriod,
 )
-from .numerics import (
-    hausdorff_distance,
-    hausdorff_dr,
-    newton_root,
-    poly_eval,
-    truncate_set,
-)
+from .numerics import newton_root, poly_eval
 from .series import (
     OverlapDescription,
     RationalTypeSeries,

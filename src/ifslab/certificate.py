@@ -189,17 +189,26 @@ def chain_disk(f: RationalTypeSeries, lam: complex, n: int) -> ChainDisk:
     """Chain disk n: the reflection of the center's level-n itinerary node
     about the center, with the radius that makes it tangent to that node's
     instar disk."""
-    return _chain_disk(f, _require_root(f, lam), n)
+    return _chain_disks(f, _require_root(f, lam), n + 1)[n]
 
 
-def _chain_disk(f: RationalTypeSeries, lam: complex, n: int) -> ChainDisk:
+def _chain_disks(f: RationalTypeSeries, lam: complex, count: int) -> list[ChainDisk]:
+    """Chain disks 0..count-1 from one running Taylor sum, in work linear in
+    ell + count.  The sum takes the steps of ``taylor_eval``, so after index
+    j it is f_j(lambda) bit for bit, and so is every disk."""
     ell = f.preperiod
-    fl = taylor_eval(f, lam, ell)
-    fn = taylor_eval(f, lam, ell + 1 + n)
+    acc, power, sums = complex(0.0), complex(1.0), []
+    for j in range(ell + 1 + count):
+        acc += coeff_at(f, j) * power
+        power *= lam
+        sums.append(acc)
+    fl = sums[ell]
     scale = lam ** (ell + 1)
-    center = -(fn + fl) / scale
-    radius = 2.0 * abs(fn) / abs(scale) - ifs.nodal_radius(lam, n)
-    return ChainDisk(n, center, radius)
+    return [
+        ChainDisk(n, -(fn + fl) / scale,
+                  2.0 * abs(fn) / abs(scale) - ifs.nodal_radius(lam, n))
+        for n, fn in enumerate(sums[ell + 1:])
+    ]
 
 
 def record_inequality(which: str, n: int, lhs: float, rhs: float, flip: bool, label: str = "") -> ConditionRecord:
@@ -400,9 +409,9 @@ def periodicity_residual(f: RationalTypeSeries, lam: complex, n: int) -> float:
     """|lambda^p (omega_n - center) - (omega_{n+p} - center)|: one period of
     the chain must be the lambda^p-scaled image of the previous one."""
     lam = _require_root(f, lam)
+    disks = _chain_disks(f, lam, n + f.period + 1)
     return _periodicity_residual(
-        lam, f.period, _selfsim_center(f, lam),
-        _chain_disk(f, lam, n), _chain_disk(f, lam, n + f.period),
+        lam, f.period, _selfsim_center(f, lam), disks[n], disks[n + f.period]
     )
 
 
@@ -449,7 +458,7 @@ def verify_chain(
     lam = _require_root(f, lam)
     if periods_checked < 1:
         raise ValueError("periods_checked must be >= 1")
-    disks = [_chain_disk(f, lam, n) for n in range(periods_checked * f.period + 1)]
+    disks = _chain_disks(f, lam, periods_checked * f.period + 1)
     return _verify_chain(f, lam, periods_checked, target, disks)
 
 
@@ -457,15 +466,24 @@ def _instar_clearance(
     lam: complex, n: int, signs: np.ndarray, disk: ChainDisk, znode: complex
 ) -> float:
     """Smallest gap between ``disk`` and the level-n instar disks, leaving
-    out the tangent one: nodes within 1e-9 (1 + |znode|) of ``znode``."""
-    reach = disk.radius + ifs.nodal_radius(lam, n)
+    out the tangent one: nodes within 1e-9 (1 + |znode|) of ``znode``.
+
+    Each block gives one array of node distances, the left-out nodes set to
+    inf; the radii are subtracted once from the smallest distance, which has
+    the bits of the smallest difference because rounding is monotone.  The
+    blocks and the arrays computed from them reuse memory allocated once per
+    walk: new ones at every block made the C heap shrink and grow again."""
     tol = 1e-9 * (1.0 + abs(znode))
     best = math.inf
-    for nodes in ifs._level_blocks(lam, n, signs):
-        keep = np.abs(nodes - znode) > tol
-        clearance = np.abs(nodes[keep] - disk.center) - reach
-        best = min(best, float(np.min(clearance, initial=np.inf)))
-    return best
+    diff = gap = near = np.empty(0)
+    for nodes in ifs._level_blocks(lam, n, signs, reuse=True):
+        if gap.size != nodes.size:
+            diff, gap, near = np.empty_like(nodes), np.empty(nodes.size), np.empty(nodes.size, bool)
+        np.less_equal(np.abs(np.subtract(nodes, znode, out=diff), out=gap), tol, out=near)
+        np.abs(np.subtract(nodes, disk.center, out=diff), out=gap)
+        gap[near] = np.inf
+        best = min(best, float(gap.min()))
+    return best - (disk.radius + ifs.nodal_radius(lam, n))
 
 
 def _verify_chain(
@@ -541,7 +559,7 @@ def certify(f: RationalTypeSeries, lam: complex, target: str = "M") -> Certifica
         # disks 0..3p-1: the two checked periods and the one the residuals
         # compare the second of them with.  The geometry comes first, so its
         # level guard refuses a long period before any (iii) polynomial.
-        disks = [_chain_disk(f, lam, n) for n in range(3 * p)]
+        disks = _chain_disks(f, lam, 3 * p)
         center = _selfsim_center(f, lam)
         geometry = _verify_chain(f, lam, 2, target, disks)
         chain = tuple(disks[:2 * p + 1])

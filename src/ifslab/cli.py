@@ -35,9 +35,9 @@ import numpy as np
 
 from . import __version__
 from . import certificate, ifs, landmarks, paramspace
-from .errors import IfsLabError, ParseError
+from .errors import IfsLabError, NotARoot, ParseError
 from .numerics import newton_root
-from .series import RationalTypeSeries, numerator_polynomial, rational_eval
+from .series import RationalTypeSeries, numerator_polynomial
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -252,9 +252,12 @@ def _overlay_circles(
     elif overlay == "chain":
         if series is None:
             raise ParseError("--overlay chain requires --series")
-        if abs(rational_eval(series, lam)) >= certificate.ROOT_TOL:
-            raise ParseError("--overlay chain requires lambda to be a root of --series")
-        disks = (certificate.chain_disk(series, lam, n) for n in range(periods * series.period))
+        try:
+            lam = certificate._require_root(series, lam)
+        except NotARoot:
+            raise ParseError("--overlay chain requires lambda to be a root "
+                             "of --series") from None
+        disks = certificate._chain_disks(series, lam, periods * series.period)
         circles = [(functools.partial(np.array, [disk.center]), disk.radius)
                    for disk in disks if disk.radius > 0]
         color = (0, 160, 0)

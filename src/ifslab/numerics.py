@@ -1,20 +1,11 @@
-"""Scalar complex numerics: polynomial evaluation, Newton roots, and the
-truncated Hausdorff distance d_r on finite point sets.
+"""Scalar complex numerics: polynomial evaluation and Newton roots.
 
-All arithmetic is plain binary64.  Point sets are numpy arrays of complex128;
-anything array-like is accepted and converted.
+All arithmetic is plain binary64 on Python complex scalars.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.spatial import cKDTree
-
 from .errors import DerivativeVanished, NoConvergence
-
-#: Number of equally spaced samples representing a circle |z| = r.  Fixed so
-#: truncated-distance probes are reproducible run to run.
-BOUNDARY_SAMPLES = 256
 
 NEWTON_MAX_ITER = 100
 
@@ -65,52 +56,3 @@ def newton_root(coeffs, seed: complex) -> complex:
         f"no root within tolerance {tol:g} after {NEWTON_MAX_ITER} iterations "
         f"from seed {seed}"
     )
-
-
-def as_point_set(points) -> np.ndarray:
-    """Coerce an array-like of complex numbers to a 1-d complex128 array."""
-    arr = np.asarray(points, dtype=np.complex128).ravel()
-    if arr.size and not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValueError("point set contains non-finite entries")
-    return arr
-
-
-def circle_sample(radius: float, samples: int = BOUNDARY_SAMPLES) -> np.ndarray:
-    """Deterministic uniform sample of the circle |z| = radius."""
-    angles = 2.0 * np.pi * np.arange(samples) / samples
-    return radius * np.exp(1j * angles)
-
-
-def truncate_set(points, r: float) -> np.ndarray:
-    """Restrict a point set to the closed disk of radius r about 0 and adjoin
-    the sampled boundary circle.
-
-    The boundary sample keeps the result nonempty, so truncated distances are
-    always defined.
-    """
-    if not (r > 0.0):
-        raise ValueError("truncation radius must be positive")
-    pts = as_point_set(points)
-    inside = pts[np.abs(pts) <= r]
-    return np.concatenate([inside, circle_sample(r)])
-
-
-def _directed_max_min(src: np.ndarray, dst: np.ndarray) -> float:
-    tree = cKDTree(np.column_stack([dst.real, dst.imag]))
-    dists, _ = tree.query(np.column_stack([src.real, src.imag]))
-    return float(np.max(dists))
-
-
-def hausdorff_distance(E, F) -> float:
-    """Hausdorff distance between two nonempty finite point sets."""
-    e = as_point_set(E)
-    f = as_point_set(F)
-    if e.size == 0 or f.size == 0:
-        raise ValueError("point sets must be nonempty")
-    return max(_directed_max_min(e, f), _directed_max_min(f, e))
-
-
-def hausdorff_dr(E, F, r: float) -> float:
-    """Truncated Hausdorff distance: Hausdorff distance after clipping both
-    sets to the disk of radius r and adjoining its boundary circle."""
-    return hausdorff_distance(truncate_set(E, r), truncate_set(F, r))

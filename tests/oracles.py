@@ -4,9 +4,10 @@ import itertools
 
 import numpy as np
 
-from ifslab.certificate import chain_disk
+from ifslab.certificate import ChainDisk, chain_disk
 from ifslab.ifs import attractor_sample, level_nodes, nodal_radius
 from ifslab.paramspace import PRUNE_GUARD
+from ifslab.series import taylor_eval
 
 
 def hausdorff_bruteforce(E, F):
@@ -66,6 +67,17 @@ def survivors_bruteforce(lam, set_kind, depth):
 def taylor_naive(coeff_fn, lam, k):
     """Power-sum Taylor evaluation using an explicit coefficient callback."""
     return sum(coeff_fn(j) * lam**j for j in range(k + 1))
+
+
+def chain_disk_taylor(f, lam, n):
+    """Chain disk n from its own two Taylor sums f_ell and f_{ell+1+n}, each
+    summed from j = 0: the per-disk formula, quadratic in the chain length
+    when every disk is built this way."""
+    ell = f.preperiod
+    fl = taylor_eval(f, lam, ell)
+    fn = taylor_eval(f, lam, ell + 1 + n)
+    scale = lam ** (ell + 1)
+    return ChainDisk(n, -(fn + fl) / scale, 2.0 * abs(fn) / abs(scale) - nodal_radius(lam, n))
 
 
 def instar_clearance_full(lam, n, alphabet, center, radius, znode):

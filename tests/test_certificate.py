@@ -38,7 +38,7 @@ from ifslab.ifs import BINARY, TERNARY, _level_blocks, _signs, level_nodes, noda
 from ifslab.series import derivative_eval, taylor_eval
 
 from conftest import random_rooted_series
-from oracles import instar_clearance_full
+from oracles import chain_disk_taylor, instar_clearance_full
 
 
 class TestSelfSimCenter:
@@ -115,6 +115,26 @@ class TestChainDisk:
                 scaled_radius = abs(lam) ** p * a.radius
                 assert abs(b.center - scaled_center) < 1e-10
                 assert abs(b.radius - scaled_radius) < 1e-10
+
+    @staticmethod
+    def _assert_one_pass_bits(f, lam, count):
+        # repr round-trips every float, so equal reprs are equal bits
+        got = certificate._chain_disks(f, lam, count)
+        want = [chain_disk_taylor(f, lam, n) for n in range(count)]
+        assert [repr(d) for d in got] == [repr(d) for d in want]
+
+    def test_one_pass_equals_taylor_formula_at_landmarks(self, roots, fixtures):
+        for i in range(1, 7):
+            f, lam = fixtures[i].series, roots[i]
+            self._assert_one_pass_bits(f, lam, 3 * f.period + 4)
+            assert repr(chain_disk(f, lam, 2 * f.period)) == repr(
+                chain_disk_taylor(f, lam, 2 * f.period)
+            )
+
+    def test_one_pass_equals_taylor_formula_on_random_series(self, rng):
+        for period in (1, 2, 3, 4, 5, 7, 9, 13):
+            f, lam = random_rooted_series(rng, period)
+            self._assert_one_pass_bits(f, lam, 3 * period + 4)
 
 
 class TestConditions:

@@ -404,6 +404,27 @@ class TestStreamedAttractor:
         self._check(tmp_path, **self.CASES[case])
         assert len(calls) <= 2
 
+    def test_chain_overlay_reads_coefficients_linearly(self, tmp_path, monkeypatch):
+        # one running Taylor sum serves all periods * p disks; summing each
+        # disk from j = 0 reads about (periods * p)^2 / 2 coefficients
+        reads = []
+        coeff_at = ifslab.series.coeff_at
+
+        def counted(f, j):
+            reads.append(j)
+            return coeff_at(f, j)
+
+        monkeypatch.setattr(ifslab.series, "coeff_at", counted)
+        monkeypatch.setattr(ifslab.certificate, "coeff_at", counted)
+        text, seed = LANDMARK5
+        disks = 64 * RationalTypeSeries.parse(text).period
+        assert main([
+            "attractor", f"--seed={seed.real!r},{seed.imag!r}", "--series", text,
+            "--overlay", "chain", "--periods", "64", "--depth", "2", "--px", "100,100",
+            "--out", str(tmp_path / "a.ppm"),
+        ]) == 0
+        assert disks <= len(reads) <= 2 * disks
+
     def test_memory_flat_in_depth(self, tmp_path):
         # the level alone is 2^21 complex nodes, 33.5 MB
         out = tmp_path / "deep.ppm"
@@ -539,14 +560,20 @@ class TestUsage:
         assert "invalid choice" in capsys.readouterr().err
 
 
-def _entry_point(*args):
-    """``python -m ifslab.cli`` with ``args`` in a fresh interpreter."""
+def _python(*args):
+    """``python`` with ``args`` in a fresh interpreter that imports this
+    ``ifslab``."""
     src = str(Path(ifslab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "ifslab.cli", *args], capture_output=True, text=True,
+        [sys.executable, *args], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path), timeout=120,
     )
+
+
+def _entry_point(*args):
+    """``python -m ifslab.cli`` with ``args`` in a fresh interpreter."""
+    return _python("-m", "ifslab.cli", *args)
 
 
 class TestEntryPoint:
@@ -562,6 +589,12 @@ class TestEntryPoint:
         assert run.returncode == 2
         assert "usage:" in run.stderr
         assert not out.exists()
+
+    def test_import_leaves_scipy_out(self):
+        # scipy serves only the Hausdorff helpers of the tests
+        run = _python("-c", "import sys, ifslab.cli; print('scipy' in sys.modules)")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
 
 
 #: Arbitrary text, and comma-joined fields that are often numbers.

@@ -2,18 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from ifslab import (
-    DerivativeVanished,
-    NoConvergence,
-    hausdorff_distance,
-    hausdorff_dr,
-    newton_root,
-    poly_eval,
-    truncate_set,
-)
+from ifslab import DerivativeVanished, NoConvergence, newton_root, poly_eval
 from ifslab.ifs import attractor_sample
-from ifslab.numerics import BOUNDARY_SAMPLES, poly_derivative_eval
+from ifslab.numerics import poly_derivative_eval
 
 from conftest import random_lambda
 from oracles import hausdorff_bruteforce
@@ -90,6 +83,66 @@ class TestNewton:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             newton_root([3], 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The truncated Hausdorff distance d_r on finite point sets.  No program code
+# measures similarity with it, so it lives beside its tests and the package
+# does not depend on scipy.
+# ---------------------------------------------------------------------------
+
+#: Number of equally spaced samples representing a circle |z| = r.  Fixed so
+#: truncated-distance probes are reproducible run to run.
+BOUNDARY_SAMPLES = 256
+
+
+def as_point_set(points) -> np.ndarray:
+    """Coerce an array-like of complex numbers to a 1-d complex128 array."""
+    arr = np.asarray(points, dtype=np.complex128).ravel()
+    if arr.size and not np.all(np.isfinite(arr.view(np.float64))):
+        raise ValueError("point set contains non-finite entries")
+    return arr
+
+
+def circle_sample(radius: float, samples: int = BOUNDARY_SAMPLES) -> np.ndarray:
+    """Deterministic uniform sample of the circle |z| = radius."""
+    angles = 2.0 * np.pi * np.arange(samples) / samples
+    return radius * np.exp(1j * angles)
+
+
+def truncate_set(points, r: float) -> np.ndarray:
+    """Restrict a point set to the closed disk of radius r about 0 and adjoin
+    the sampled boundary circle.
+
+    The boundary sample keeps the result nonempty, so truncated distances are
+    always defined.
+    """
+    if not (r > 0.0):
+        raise ValueError("truncation radius must be positive")
+    pts = as_point_set(points)
+    inside = pts[np.abs(pts) <= r]
+    return np.concatenate([inside, circle_sample(r)])
+
+
+def _directed_max_min(src: np.ndarray, dst: np.ndarray) -> float:
+    tree = cKDTree(np.column_stack([dst.real, dst.imag]))
+    dists, _ = tree.query(np.column_stack([src.real, src.imag]))
+    return float(np.max(dists))
+
+
+def hausdorff_distance(E, F) -> float:
+    """Hausdorff distance between two nonempty finite point sets."""
+    e = as_point_set(E)
+    f = as_point_set(F)
+    if e.size == 0 or f.size == 0:
+        raise ValueError("point sets must be nonempty")
+    return max(_directed_max_min(e, f), _directed_max_min(f, e))
+
+
+def hausdorff_dr(E, F, r: float) -> float:
+    """Truncated Hausdorff distance: Hausdorff distance after clipping both
+    sets to the disk of radius r and adjoining its boundary circle."""
+    return hausdorff_distance(truncate_set(E, r), truncate_set(F, r))
 
 
 class TestTruncateSet:
