@@ -53,6 +53,7 @@ from .errors import (
 from . import ifs
 from .series import (
     RationalTypeSeries,
+    _taylor_sums,
     coeff_at,
     derivative_eval,
     rational_eval,
@@ -194,14 +195,9 @@ def chain_disk(f: RationalTypeSeries, lam: complex, n: int) -> ChainDisk:
 
 def _chain_disks(f: RationalTypeSeries, lam: complex, count: int) -> list[ChainDisk]:
     """Chain disks 0..count-1 from one running Taylor sum, in work linear in
-    ell + count.  The sum takes the steps of ``taylor_eval``, so after index
-    j it is f_j(lambda) bit for bit, and so is every disk."""
+    ell + count; each has the bits of the per-n ``taylor_eval`` formula."""
     ell = f.preperiod
-    acc, power, sums = complex(0.0), complex(1.0), []
-    for j in range(ell + 1 + count):
-        acc += coeff_at(f, j) * power
-        power *= lam
-        sums.append(acc)
+    sums = _taylor_sums(f, lam, ell + count)
     fl = sums[ell]
     scale = lam ** (ell + 1)
     return [
@@ -476,7 +472,7 @@ def _instar_clearance(
     tol = 1e-9 * (1.0 + abs(znode))
     best = math.inf
     diff = gap = near = np.empty(0)
-    for nodes in ifs._level_blocks(lam, n, signs, reuse=True):
+    for nodes in ifs._level_blocks(lam, n, signs):
         if gap.size != nodes.size:
             diff, gap, near = np.empty_like(nodes), np.empty(nodes.size), np.empty(nodes.size, bool)
         np.less_equal(np.abs(np.subtract(nodes, znode, out=diff), out=gap), tol, out=near)

@@ -82,32 +82,26 @@ def node(word: Word, lam: complex) -> complex:
 _BLOCK_NODES = 1 << 14
 
 
-def _letter_weights(lam: complex, level: int, signs: np.ndarray) -> list[np.ndarray]:
-    """The rows signs * lambda^j, j = 1..level, by a running power of lambda."""
-    power, rows = complex(1.0), []
-    for _ in range(level):
-        power *= lam
-        rows.append(signs[None, :] * power)
-    return rows
-
-
 def _grow_nodes(
-    start: np.ndarray, weights: list[np.ndarray],
-    scratch: tuple[np.ndarray, ...] = (), in_scratch: int = 0,
-) -> np.ndarray:
-    """Extend every start node by one letter per row of ``weights``, in
-    lexicographic order.  Every node of a level is built by this one fold
-    from the rows of ``_letter_weights``, so growing a block of prefixes
-    gives the bits of growing the whole level.  The first ``in_scratch``
-    grown levels alternate between the two ``scratch`` arrays, the others
-    are new arrays."""
+    start: np.ndarray, lam: complex, level: int, signs: np.ndarray,
+    power: complex = complex(1.0), scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, complex]:
+    """Extend every start node by ``level`` more letters, lexicographically.
+
+    ``power`` is the weight lambda^k of the last letter of the start words
+    (length k+1); the weight of the last letter of the grown words is
+    returned with them.  Every node of a level is built by this one fold, so
+    growing a block of prefixes gives the bits of growing the whole level.
+    With ``scratch``, a pair of arrays large enough for the last level, the
+    grown levels alternate between the two instead of new arrays."""
     nodes = start
-    for i, row in enumerate(weights):
-        size = nodes.size * row.size
-        out = scratch[i % 2][:size] if i < in_scratch else np.empty(size, np.complex128)
-        np.add(nodes[:, None], row, out=out.reshape(nodes.size, -1))
+    for i in range(level):
+        power *= lam
+        size = nodes.size * signs.size
+        out = np.empty(size, np.complex128) if scratch is None else scratch[i % 2][:size]
+        np.add(nodes[:, None], signs[None, :] * power, out=out.reshape(nodes.size, -1))
         nodes = out
-    return nodes
+    return nodes, power
 
 
 def level_nodes(
@@ -125,36 +119,36 @@ def level_nodes(
     """
     _check_level(level, alphabet)
     signs = np.array(_signs(alphabet), dtype=np.complex128)
-    return _grow_nodes(signs, _letter_weights(complex(lam), level, signs))
+    return _grow_nodes(signs, complex(lam), level, signs)[0]
 
 
-def _level_blocks(lam: complex, level: int, signs: np.ndarray, reuse: bool = False):
+def _level_blocks(lam: complex, level: int, signs: np.ndarray):
     """Nodes sum a_j lambda^j of all words a_0..a_level over ``signs``, in
     lexicographic order, as consecutive blocks of at most _BLOCK_NODES.
 
     The top levels are grown once; each block grows a run of those prefixes
-    to the leaves with the same fold and rows, so every node has the bits it
-    has in ``level_nodes``.  A block's levels are grown in two scratch arrays
-    allocated once per walk, except its last, a new array that no later
-    block overwrites; with ``reuse`` the last goes to scratch too, for a
-    caller done with each block before it draws the next."""
+    to the leaves with the same fold, so every node has the bits it has in
+    ``level_nodes``.  A block's levels are grown in two scratch arrays
+    allocated once per walk, so a block is valid until the next one is
+    drawn: new arrays at every block made the C heap shrink and grow again."""
     k = signs.size
     depth = 0
     while k ** (level - depth) > _BLOCK_NODES:
         depth += 1
-    weights = _letter_weights(lam, level, signs)
-    prefixes = _grow_nodes(signs, weights[:depth])
+    prefixes, power = _grow_nodes(signs, lam, depth, signs)
     step = _BLOCK_NODES // k ** (level - depth)
-    in_scratch = level - depth - (not reuse)
-    size = min(step, prefixes.size) * k ** max(in_scratch, 0)
-    scratch = (np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128))
+    size = min(step, prefixes.size) * k ** (level - depth)
+    scratch = (np.empty(size, np.complex128), np.empty(size, np.complex128))
     for start in range(0, prefixes.size, step):
-        yield _grow_nodes(prefixes[start:start + step], weights[depth:], scratch, in_scratch)
+        yield _grow_nodes(
+            prefixes[start:start + step], lam, level - depth, signs, power, scratch
+        )[0]
 
 
 def level_blocks(lam: complex, level: int, alphabet: str = TERNARY):
     """The nodes of ``level_nodes(lam, level, alphabet)``, bit for bit and in
-    the same order, as consecutive blocks of at most ``_BLOCK_NODES``.
+    the same order, as consecutive blocks of at most ``_BLOCK_NODES``.  A
+    block is overwritten by the next one: copy it to keep it.
 
     The level is checked here, before the first block is asked for."""
     _check_level(level, alphabet)

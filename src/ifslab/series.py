@@ -143,14 +143,21 @@ def coeff_at(f: RationalTypeSeries, j: int) -> int:
     return f.coeffs[ell + 1 + ((j - ell - 1) % p)]
 
 
-def taylor_eval(f: RationalTypeSeries, lam: complex, k: int) -> complex:
-    """Degree-k Taylor polynomial f_k(lambda) = sum_{j<=k} c_j lambda^j."""
-    acc = complex(0.0)
-    power = complex(1.0)
+def _taylor_sums(f: RationalTypeSeries, lam: complex, k: int) -> list[complex]:
+    """The Taylor polynomials f_0(lambda), ..., f_k(lambda) of one running
+    sum.  Every caller takes its values from here, so all agree bit for bit."""
+    acc, power, sums = complex(0.0), complex(1.0), []
     for j in range(k + 1):
         acc += coeff_at(f, j) * power
         power *= lam
-    return acc
+        sums.append(acc)
+    return sums
+
+
+def taylor_eval(f: RationalTypeSeries, lam: complex, k: int) -> complex:
+    """Degree-k Taylor polynomial f_k(lambda) = sum_{j<=k} c_j lambda^j."""
+    sums = _taylor_sums(f, lam, k)
+    return sums[-1] if sums else complex(0.0)
 
 
 def _check_pole(f: RationalTypeSeries, lam: complex) -> complex:

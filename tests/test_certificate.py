@@ -413,7 +413,7 @@ class TestStreamedCertificate:
         for block in self.BLOCKS:
             monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
             for n in range(12):
-                nodes = np.concatenate(list(_level_blocks(lam, n, signs)))
+                nodes = np.concatenate([b.copy() for b in _level_blocks(lam, n, signs)])
                 assert nodes.tobytes() == level_nodes(lam, n, alphabet).tobytes()
                 disk, znode = chain_disk(f, lam, n), center_node(f, lam, n)
                 got = _instar_clearance(lam, n, signs, disk, znode)

@@ -151,24 +151,14 @@ class TestLevelBlocks:
     ])
     @pytest.mark.parametrize("block", [ifs._BLOCK_NODES, 7])
     def test_blocks_are_the_level_bit_for_bit(self, monkeypatch, alphabet, level, block):
+        # each block is overwritten by the next, so copy each to keep it
         monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
         lam = 0.52 + 0.31j
-        blocks = list(level_blocks(lam, level, alphabet))
+        blocks = [b.copy() for b in level_blocks(lam, level, alphabet)]
         assert all(b.size <= block for b in blocks)
         joined = np.concatenate(blocks)
         expected = level_nodes(lam, level, alphabet)
         assert joined.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("alphabet, level", [("binary", 13), ("ternary", 9)])
-    @pytest.mark.parametrize("block", [ifs._BLOCK_NODES, 7])
-    def test_reused_blocks_are_the_level_bit_for_bit(self, monkeypatch, alphabet, level, block):
-        # with reuse every block is overwritten by the next, so copy each
-        monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
-        lam = 0.52 + 0.31j
-        signs = np.array(ifs._signs(alphabet), dtype=np.complex128)
-        blocks = ifs._level_blocks(lam, level, signs, reuse=True)
-        joined = np.concatenate([b.copy() for b in blocks])
-        assert joined.tobytes() == level_nodes(lam, level, alphabet).tobytes()
 
     def test_level_checked_before_the_first_block(self):
         with pytest.raises(LevelTooDeep):
