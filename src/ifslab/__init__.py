@@ -20,7 +20,6 @@ from .errors import (
 )
 from .numerics import newton_root, poly_eval
 from .series import (
-    OverlapDescription,
     RationalTypeSeries,
     coeff_at,
     derivative_eval,
@@ -30,8 +29,6 @@ from .series import (
     taylor_eval,
 )
 from .ifs import (
-    BINARY,
-    TERNARY,
     Word,
     attractor_sample,
     node,
@@ -39,20 +36,11 @@ from .ifs import (
     selfsim_residuals,
 )
 from .paramspace import (
-    SET_M,
-    SET_M0,
-    EscapeGrid,
-    MembershipResult,
-    SurvivorList,
     escape_grid,
     membership,
     survivors,
 )
 from .certificate import (
-    CertificateReport,
-    ChainDisk,
-    ChainGeometry,
-    ConditionRecord,
     certify,
     chain_disk,
     condition_consecutive_overlap,
@@ -67,7 +55,6 @@ from .certificate import (
     weakened_conditions,
 )
 from .landmarks import (
-    Landmark,
     existence_margins,
     landmark,
     landmark_root,

@@ -168,10 +168,7 @@ def _require_root(f: RationalTypeSeries, lam: complex) -> complex:
 
 def selfsim_center(f: RationalTypeSeries, lam: complex) -> complex:
     """The self-similarity center -f_ell(lambda) / lambda^(ell+1)."""
-    return _selfsim_center(f, _require_root(f, lam))
-
-
-def _selfsim_center(f: RationalTypeSeries, lam: complex) -> complex:
+    lam = _require_root(f, lam)
     ell = f.preperiod
     return -taylor_eval(f, lam, ell) / lam ** (ell + 1)
 
@@ -404,11 +401,10 @@ def weakened_conditions(
 def periodicity_residual(f: RationalTypeSeries, lam: complex, n: int) -> float:
     """|lambda^p (omega_n - center) - (omega_{n+p} - center)|: one period of
     the chain must be the lambda^p-scaled image of the previous one."""
-    lam = _require_root(f, lam)
+    z = selfsim_center(f, lam)
+    lam = complex(lam)
     disks = _chain_disks(f, lam, n + f.period + 1)
-    return _periodicity_residual(
-        lam, f.period, _selfsim_center(f, lam), disks[n], disks[n + f.period]
-    )
+    return _periodicity_residual(lam, f.period, z, disks[n], disks[n + f.period])
 
 
 def _periodicity_residual(
@@ -426,36 +422,13 @@ def parameter_probe(f: RationalTypeSeries, lam: complex, b: complex, n: int) -> 
     outside the attractor to parameters predicted to fall outside the locus
     for large n.  Probe outcomes are evidence only, never part of a verdict.
     """
-    lam = _require_root(f, lam)
+    z = selfsim_center(f, lam)
+    lam = complex(lam)
     fp = derivative_eval(f, lam)
     if abs(fp) < 1e-12:
         raise DerivativeVanished(f"|f'(lambda)| = {abs(fp):.3e} too small")
-    z = _selfsim_center(f, lam)
     ell, p = f.preperiod, f.period
     return lam + lam ** (p * n) * (lam ** (ell + 1) / fp) * (complex(b) - z)
-
-
-def verify_chain(
-    f: RationalTypeSeries,
-    lam: complex,
-    periods_checked: int = 2,
-    target: str = "M",
-) -> ChainGeometry:
-    """Direct geometric verification of the first periods_checked * p chain
-    disks: existence, consecutive intersection, and separation from the
-    level-n instar (ternary for target M, binary for target M0), with the
-    tangent disk excluded by node value.
-
-    Also reports whether each disk is contained in its predecessor (closed
-    disks, small tolerance) since deeper chains sometimes nest.
-    """
-    if target not in ("M", "M0"):
-        raise ValueError(f"target must be 'M' or 'M0', got {target!r}")
-    lam = _require_root(f, lam)
-    if periods_checked < 1:
-        raise ValueError("periods_checked must be >= 1")
-    disks = _chain_disks(f, lam, periods_checked * f.period + 1)
-    return _verify_chain(f, lam, periods_checked, target, disks)
 
 
 def _instar_clearance(
@@ -482,14 +455,32 @@ def _instar_clearance(
     return best - (disk.radius + ifs.nodal_radius(lam, n))
 
 
-def _verify_chain(
-    f: RationalTypeSeries, lam: complex, periods_checked: int, target: str,
-    disks: list[ChainDisk],
+def verify_chain(
+    f: RationalTypeSeries,
+    lam: complex,
+    periods_checked: int = 2,
+    target: str = "M",
 ) -> ChainGeometry:
-    """The geometry of ``verify_chain`` from chain disks 0..periods_checked*p."""
+    """Direct geometric verification of the first periods_checked * p chain
+    disks: existence, consecutive intersection, and separation from the
+    level-n instar (ternary for target M, binary for target M0), with the
+    tangent disk excluded by node value.
+
+    Also reports whether each disk is contained in its predecessor (closed
+    disks, small tolerance) since deeper chains sometimes nest.
+
+    More than 14 chain levels raise LevelTooDeep before any chain disk is
+    built, so a long period is refused at once.
+    """
+    if target not in ("M", "M0"):
+        raise ValueError(f"target must be 'M' or 'M0', got {target!r}")
+    lam = _require_root(f, lam)
+    if periods_checked < 1:
+        raise ValueError("periods_checked must be >= 1")
     count = periods_checked * f.period
     if count > 14:
         raise LevelTooDeep(f"{count} chain levels exceed the guard of 14")
+    disks = _chain_disks(f, lam, count + 1)
     alphabet = ifs.TERNARY if target == "M" else ifs.BINARY
     signs = np.array(ifs._signs(alphabet), dtype=np.complex128)
     levels = []
@@ -552,12 +543,13 @@ def certify(f: RationalTypeSeries, lam: complex, target: str = "M") -> Certifica
                 "target M0 requires a series with no zero coefficients; "
                 f"zeros at indices {f.zero_positions}"
             )
-        # disks 0..3p-1: the two checked periods and the one the residuals
-        # compare the second of them with.  The geometry comes first, so its
-        # level guard refuses a long period before any (iii) polynomial.
+        # The geometry comes first: its level guard refuses a long period
+        # before any chain disk or (iii) polynomial.  Disks 0..3p-1 are the
+        # two checked periods and the one the residuals compare the second
+        # of them with.
+        geometry = verify_chain(f, lam, 2, target)
+        center = selfsim_center(f, lam)
         disks = _chain_disks(f, lam, 3 * p)
-        center = _selfsim_center(f, lam)
-        geometry = _verify_chain(f, lam, 2, target, disks)
         chain = tuple(disks[:2 * p + 1])
         residuals = tuple(
             _periodicity_residual(lam, p, center, disks[n], disks[n + p])

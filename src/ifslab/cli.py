@@ -11,11 +11,11 @@ Subcommands:
 x0,y0,x1,y1`` four finite floats with x0 < x1 and y0 < y1, for ``render`` and
 ``attractor`` alike; the extents x1 - x0, y1 - y0 and the pixel scales
 W/(x1 - x0), H/(y1 - y0) must be finite too.  ``--set`` takes m or m0 (any
-case) and ``attractor --overlay`` none, instar or chain.
-``attractor --periods`` takes 1..MAX_PERIODS, and an overlay circle may take
-at most MAX_CIRCLE_SAMPLES samples.  Every one of these rules, and the level
-guards of ``attractor`` and ``certify``, is checked before the command walks
-its first level, so a refused command does no work.
+case) and ``attractor --overlay`` none, instar or chain.  ``render --depth``
+takes 1..MAX_DEPTH, ``attractor --periods`` 1..MAX_PERIODS, and an overlay
+circle may take at most MAX_CIRCLE_SAMPLES samples.  Every one of these
+rules, and the level guards of ``attractor`` and ``certify``, is checked
+before the command walks its first level, so a refused command does no work.
 
 Exit codes: 0 success, 1 expectation failure, 2 usage/parse error, 3 numeric
 failure.  Images are binary PPM (P6) and byte-identical for identical inputs.
@@ -44,9 +44,13 @@ EXIT_EXPECTATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-#: Largest ``attractor --periods``: the chain overlay evaluates O((periods*p)^2)
-#: Taylor terms, and past a few periods its disks are far below a pixel.
+#: Largest ``attractor --periods``: the chain overlay's work is linear in
+#: periods*p, but past a few periods its disks are far below a pixel.
 MAX_PERIODS = 64
+#: Largest ``render --depth``: each pixel's search builds lists ``--depth``
+#: long before it starts, about 2 ms per surviving pixel at depth 1024 and
+#: |lambda| ~ 0.7.
+MAX_DEPTH = 1024
 #: Most samples one overlay circle may take, 16 r max(W/(x1-x0), H/(y1-y0)):
 #: a default window asks for at most 8 W, a circle far larger than the window
 #: for more.
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     render = sub.add_parser("render", help="escape-depth image of a parameter window")
     render.add_argument("--window", required=True, help="x0,y0,x1,y1")
     render.add_argument("--px", required=True, help="W,H")
-    render.add_argument("--depth", type=int, default=40)
+    render.add_argument("--depth", type=int, default=40, help=f"1..{MAX_DEPTH}")
     render.add_argument("--set", type=str.lower, choices=tuple(SETS), default="m",
                         help="locus: m or m0")
     render.add_argument("--out", required=True)
@@ -423,8 +427,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "render":
             window, w, h = _parse_frame(args.window, args.px)
-            if args.depth < 1:
-                raise ParseError("--depth must be >= 1")
+            if not 1 <= args.depth <= MAX_DEPTH:
+                raise ParseError(f"--depth must be 1..{MAX_DEPTH}, got {args.depth}")
             return cmd_render(
                 window, w, h, args.depth, SETS[args.set], args.out, argv, args.report
             )
@@ -458,8 +462,6 @@ def main(argv=None) -> int:
                 raise ParseError(f"--id must be 1..6, got {args.id}")
             ids = None if args.id is None else [args.id]
             return cmd_landmarks(ids, args.out, argv)
-
-        parser.error(f"unknown command {args.command!r}")
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -469,7 +471,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    return EXIT_OK
 
 
 if __name__ == "__main__":

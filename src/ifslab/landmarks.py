@@ -41,6 +41,8 @@ from .series import (
 SECTOR_MOD_LO = (math.sqrt(5.0) - 1.0) / 2.0
 SECTOR_MOD_HI = 2.0 / 3.0
 SECTOR_ARG_HI = 5.0 * math.pi / 32.0
+#: Membership depth of the parameter probes of ``evaluate_landmark``.
+PROBE_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ class LandmarkOutcome:
     notes: tuple[str, ...]
 
 
-def evaluate_landmark(i: int, probe_depth: int = 40) -> LandmarkOutcome:
+def evaluate_landmark(i: int) -> LandmarkOutcome:
     """Run every landmark expectation and collect margins.
 
     Probe evidence: parameter probes based at the first chain-disk center
@@ -172,9 +174,9 @@ def evaluate_landmark(i: int, probe_depth: int = 40) -> LandmarkOutcome:
 
     z = report.center
     b_out = report.chain[0].center
-    probe_out = membership(parameter_probe(lm.series, root, b_out, 4), "M", probe_depth)
+    probe_out = membership(parameter_probe(lm.series, root, b_out, 4), "M", PROBE_DEPTH)
     probe_in = membership(
-        parameter_probe(lm.series, root, 2 * z - b_out, 4), "M", probe_depth
+        parameter_probe(lm.series, root, 2 * z - b_out, 4), "M", PROBE_DEPTH
     )
 
     notes = []
@@ -224,8 +226,8 @@ def evaluate_landmark(i: int, probe_depth: int = 40) -> LandmarkOutcome:
     )
 
 
-def run_suite(ids=None, probe_depth: int = 40) -> list[LandmarkOutcome]:
+def run_suite(ids=None) -> list[LandmarkOutcome]:
     """Evaluate all (or selected) landmarks; callers decide how to render."""
     if ids is None:
         ids = range(1, 7)
-    return [evaluate_landmark(i, probe_depth) for i in ids]
+    return [evaluate_landmark(i) for i in ids]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ifslab import ifs, paramspace
+from ifslab import certificate, ifs, landmarks, paramspace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,6 +32,21 @@ def test_tracer_wraps_and_restores_every_traced_name(monkeypatch):
     assert [span[0] for span in tracer.spans] == ["ifs.attractor_sample", "ifs.level_nodes"]
     for (layer, attr), original in originals.items():
         assert getattr(importlib.import_module(f"ifslab.{layer}"), attr) is original
+
+
+def test_certify_traces_its_chain_geometry(monkeypatch):
+    # the certify metrics of --trace 1 read the geometry only if certify
+    # reaches it through the traced name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("spans").Tracer()
+    tracer.install()
+    try:
+        certificate.certify(landmarks.landmark(5).series, landmarks.landmark_root(5))
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    geometry = tracer.spans[names.index("certificate.verify_chain")]
+    assert tracer.spans[geometry[3]][0] == "certificate.certify"
 
 
 def test_thread_probe_keywords_change_nothing():

@@ -438,16 +438,23 @@ class TestStreamedCertificate:
 
     @pytest.mark.parametrize("target", ["M", "M0"])
     def test_period8_refused_before_any_separation_search(self, monkeypatch, target):
-        # 2p = 16 chain levels exceed the geometry's guard of 14; the refusal
-        # comes before the 5^(n+1) (resp. 3^(n+1)) searches of condition (iii)
+        # 2p chain levels exceed the geometry's guard of 14 at p = 8; the
+        # refusal comes before any chain disk and before the 5^(n+1) (resp.
+        # 3^(n+1)) searches of condition (iii), so a long period costs nothing
         def searched(*args):
-            raise AssertionError("condition (iii) searched before the level guard")
+            raise AssertionError("chain disk or condition (iii) built before the guard")
 
         monkeypatch.setattr(certificate, "_worst_separation", searched)
-        f = RationalTypeSeries.parse("1;1,1,-1,1,1,-1,-1,1")
-        lam = newton_root(numerator_polynomial(f), -0.377 + 0.545j)
-        with pytest.raises(LevelTooDeep):
-            certify(f, lam, target=target)
+        monkeypatch.setattr(certificate, "_chain_disks", searched)
+        period8 = RationalTypeSeries.parse("1;1,1,-1,1,1,-1,-1,1")
+        # p = 1600: seeded near the first np.roots root of the numerator with
+        # 0.3 < |z| < 0.97 and Im z > 0.01 (np.roots takes seconds here)
+        block = [1] + [int(c) for c in np.random.default_rng(1).choice([-1, 1], 1599)]
+        period1600 = RationalTypeSeries.from_parts([1, -1], block)
+        for f, seed in ((period8, -0.377 + 0.545j), (period1600, 0.67992 + 0.63420j)):
+            lam = newton_root(numerator_polynomial(f), seed)
+            with pytest.raises(LevelTooDeep):
+                certify(f, lam, target=target)
 
 class TestReportRoundTrip:
     def test_json_round_trip_field_exact(self, roots, fixtures):

@@ -126,6 +126,22 @@ class TestRender:
         ]) == 2
         assert not out.exists()
 
+    def test_depth_ceiling(self, tmp_path, monkeypatch):
+        # each pixel's search builds lists --depth long before it starts
+        out = tmp_path / "deep.ppm"
+        args = ["render", "--window=0.6,0.1,0.61,0.11", "--px", "1,1",
+                "--out", str(out)]
+
+        def searched(*a, **k):
+            raise AssertionError("a pixel was searched above MAX_DEPTH")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.paramspace, "escape_grid", searched)
+            assert main(args + ["--depth", str(cli.MAX_DEPTH + 1)]) == 2
+        assert not out.exists()
+        assert main(args + ["--depth", str(cli.MAX_DEPTH)]) == 0
+        assert read_ppm(out).shape == (1, 1, 3)
+
 
 class TestAttractor:
     def test_rectangle_attractor_span(self, tmp_path):
@@ -531,7 +547,7 @@ class TestLandmarksCommand:
         from ifslab import cli as cli_mod
         from ifslab.landmarks import run_suite as real_run_suite
 
-        def broken_suite(ids=None, probe_depth=40):
+        def broken_suite(ids=None):
             outcomes = real_run_suite([1])
             failed = dataclasses.replace(
                 outcomes[0], expected_ok=False, notes=("forced failure",)
