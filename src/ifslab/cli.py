@@ -47,8 +47,9 @@ EXIT_NUMERIC = 3
 #: Largest ``attractor --periods``: the chain overlay's work is linear in
 #: periods*p, but past a few periods its disks are far below a pixel.
 MAX_PERIODS = 64
-#: Largest ``render --depth``: each pixel's search builds lists ``--depth``
-#: long before it starts, about 2 ms per surviving pixel at depth 1024 and
+#: Largest ``render --depth``: a pixel's search builds its level table only
+#: as deep as it reaches, so an escaping pixel never pays for ``--depth``,
+#: but a surviving one reaches every level, about 2 ms at depth 1024 and
 #: |lambda| ~ 0.7.
 MAX_DEPTH = 1024
 #: Most samples one overlay circle may take, 16 r max(W/(x1-x0), H/(y1-y0)):

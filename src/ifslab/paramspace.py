@@ -8,8 +8,8 @@ pruning a prefix as soon as the bound fails.  Escape (all prefixes dead) is
 definitive; survival to the requested depth only says no truncation ruled
 the parameter out, so it over-approximates the locus.
 
-Escape depth is the maximum prefix length reached before the search tree
-died; it does not depend on traversal order.
+Escape depth is the first prefix length at which every prefix fails the
+bound; it does not depend on traversal order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ PRUNE_GUARD = 1e-15
 class MembershipResult:
     set_kind: str
     depth: int
-    escaped_at: int  # 0 when survived, else max prefix length reached
+    escaped_at: int  # 0 when survived, else the escape depth
 
     @property
     def survived(self) -> bool:
@@ -82,40 +82,55 @@ def _check_lambda(lam: complex) -> complex:
     return lam
 
 
-def _prune_bounds_sq(absl: float, depth: int) -> list[float]:
-    R = 1.0 / (1.0 - absl)
-    guard = PRUNE_GUARD * R
-    return [(absl ** (k + 1) * R + guard) ** 2 for k in range(depth)]
+def _level(lam: complex, absl: float, R: float, guard: float, k: int) -> tuple[float, float, float]:
+    """Table entry for prefix level k: the squared pruning bound on
+    |f_k(lambda)| and the real and imaginary parts of lambda**k."""
+    pw = lam**k
+    return (absl ** (k + 1) * R + guard) ** 2, pw.real, pw.imag
 
 
 def _search(lam: complex, digits: tuple[int, ...], depth: int) -> int:
-    """Pruned DFS over coefficient prefixes; 0 if some prefix of length
-    ``depth`` survives, otherwise the maximum prefix length reached."""
-    thr2 = _prune_bounds_sq(abs(lam), depth)
-    if 1.0 > thr2[0]:
+    """Pruned DFS over coefficient prefixes.
+
+    Returns 0 if some prefix of length ``depth`` passes the bound at every
+    level; otherwise the first prefix length at which every prefix fails the
+    bound.  The level table grows the first time the search reaches a level,
+    so an early escape builds no deep level and the table's length is the
+    escape depth.  A stack entry is the flat triple (Re f_k, Im f_k, k); the
+    children f_k +- lambda^(k+1) are formed part by part, which is bit for bit
+    complex addition and subtraction.
+    """
+    absl = abs(lam)
+    R = 1.0 / (1.0 - absl)
+    guard = PRUNE_GUARD * R
+    levels = [_level(lam, absl, R, guard, 0)]
+    if 1.0 > levels[0][0]:
         return 1
-    if depth == 1:
-        return 0
-    powers = [lam**k for k in range(depth)]
     ternary = len(digits) == 3
-    max_len = 1
-    stack = [(0, complex(1.0))]
+    stack = [1.0, 0.0, 0]
+    pop = stack.pop
+    extend = stack.extend
     while stack:
-        k, value = stack.pop()
-        k1 = k + 1
-        bound = thr2[k1]
-        pw = powers[k1]
-        last = k1 == depth - 1
-        if k1 + 1 > max_len:
-            max_len = k1 + 1
+        k1 = pop() + 1
+        vi = pop()
+        vr = pop()
+        if k1 == len(levels):
+            if k1 == depth:  # a prefix of length depth survived
+                return 0
+            levels.append(_level(lam, absl, R, guard, k1))
+        bound, pr, pi = levels[k1]
         # children pushed plus-first so the minus branch pops first (lex order)
-        cand = (value + pw, value, value - pw) if ternary else (value + pw, value - pw)
-        for child in cand:
-            if child.real * child.real + child.imag * child.imag <= bound:
-                if last:
-                    return 0
-                stack.append((k1, child))
-    return max_len
+        re = vr + pr
+        im = vi + pi
+        if re * re + im * im <= bound:
+            extend((re, im, k1))
+        if ternary and vr * vr + vi * vi <= bound:
+            extend((vr, vi, k1))
+        re = vr - pr
+        im = vi - pi
+        if re * re + im * im <= bound:
+            extend((re, im, k1))
+    return len(levels)
 
 
 def membership(lam: complex, set_kind: str = SET_M, depth: int = 40) -> MembershipResult:
@@ -140,10 +155,12 @@ def survivors(
         raise ValueError("depth must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    thr2 = _prune_bounds_sq(abs(lam), depth)
-    if 1.0 > thr2[0]:
+    absl = abs(lam)
+    R = 1.0 / (1.0 - absl)
+    guard = PRUNE_GUARD * R
+    levels = [_level(lam, absl, R, guard, 0)]
+    if 1.0 > levels[0][0]:
         return SurvivorList((), False)
-    powers = [lam**k for k in range(depth)]
     found: list[tuple[int, ...]] = []
     stack = [((1,), complex(1.0))]
     # one leaf past the cap is enough to know the list overflowed
@@ -153,10 +170,14 @@ def survivors(
         if k1 == depth:
             found.append(prefix)
             continue
+        if k1 == len(levels):
+            levels.append(_level(lam, absl, R, guard, k1))
+        bound, pr, pi = levels[k1]
+        power = complex(pr, pi)
         # children pushed plus-first so the minus branch pops first (lex order)
         for digit in reversed(digits):
-            child = value + digit * powers[k1]
-            if child.real**2 + child.imag**2 <= thr2[k1]:
+            child = value + digit * power
+            if child.real**2 + child.imag**2 <= bound:
                 stack.append((prefix + (digit,), child))
     return SurvivorList(tuple(found[:cap]), len(found) > cap)
 

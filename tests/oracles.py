@@ -39,6 +39,68 @@ def exhaustive_verdict(lam, set_kind, depth):
     return bool(np.any(ok))
 
 
+def escape_depth_bruteforce(lam, set_kind, depth):
+    """Escape depth with no pruning, level by level: every coefficient
+    prefix of each length is formed, dead ones included, and a prefix is
+    alive while its partial sums pass the squared tail bound at every level.
+    0 if some prefix of length ``depth`` is alive, otherwise the first length
+    at which none is."""
+    digits = np.array((-1, 0, 1) if set_kind == "M" else (-1, 1), dtype=float)
+    absl = abs(lam)
+    R = 1.0 / (1.0 - absl)
+    re, im, alive = np.array([1.0]), np.array([0.0]), np.array([True])
+    for k in range(depth):
+        if k:
+            pw = lam**k
+            re = (re[:, None] + digits * pw.real).ravel()
+            im = (im[:, None] + digits * pw.imag).ravel()
+            alive = np.repeat(alive, len(digits))
+        alive &= re * re + im * im <= (absl ** (k + 1) * R + PRUNE_GUARD * R) ** 2
+        if not alive.any():
+            return k + 1
+    return 0
+
+
+def _prune_bounds_sq(absl: float, depth: int) -> list[float]:
+    R = 1.0 / (1.0 - absl)
+    guard = PRUNE_GUARD * R
+    return [(absl ** (k + 1) * R + guard) ** 2 for k in range(depth)]
+
+
+def escape_depth_reference(lam: complex, digits: tuple[int, ...], depth: int) -> int:
+    """Pruned DFS over coefficient prefixes; 0 if some prefix of length
+    ``depth`` survives, otherwise the maximum prefix length reached.
+
+    ``paramspace._search`` as it was when it built its whole bound and power
+    lists up front and pushed (level, complex) pairs: a drop-in reference for
+    the lazy flat-stack search."""
+    thr2 = _prune_bounds_sq(abs(lam), depth)
+    if 1.0 > thr2[0]:
+        return 1
+    if depth == 1:
+        return 0
+    powers = [lam**k for k in range(depth)]
+    ternary = len(digits) == 3
+    max_len = 1
+    stack = [(0, complex(1.0))]
+    while stack:
+        k, value = stack.pop()
+        k1 = k + 1
+        bound = thr2[k1]
+        pw = powers[k1]
+        last = k1 == depth - 1
+        if k1 + 1 > max_len:
+            max_len = k1 + 1
+        # children pushed plus-first so the minus branch pops first (lex order)
+        cand = (value + pw, value, value - pw) if ternary else (value + pw, value - pw)
+        for child in cand:
+            if child.real * child.real + child.imag * child.imag <= bound:
+                if last:
+                    return 0
+                stack.append((k1, child))
+    return max_len
+
+
 def survivors_bruteforce(lam, set_kind, depth):
     """Every coefficient prefix of the given length, in lexicographic order,
     whose partial sums pass the squared tail bound at every truncation level:

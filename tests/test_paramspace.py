@@ -5,11 +5,25 @@ from ifslab import (
     InvalidLambda,
     escape_grid,
     membership,
+    paramspace,
     survivors,
 )
 
 from conftest import random_lambda
-from oracles import exhaustive_verdict, survivors_bruteforce
+from oracles import (
+    escape_depth_bruteforce,
+    escape_depth_reference,
+    exhaustive_verdict,
+    survivors_bruteforce,
+)
+
+
+class _RecordedLambda(complex):
+    """A parameter that records every exponent it is raised to."""
+
+    def __pow__(self, k):
+        self.exponents.append(k)
+        return complex(self) ** k
 
 
 class TestMembership:
@@ -49,6 +63,26 @@ class TestMembership:
                 assert membership(lam, kind, 10).survived == exhaustive_verdict(
                     lam, kind, 10
                 )
+
+    @pytest.mark.parametrize("set_kind", ["M", "M0"])
+    def test_escape_depth_equals_unpruned_oracle(self, set_kind):
+        rng = np.random.default_rng(29)
+        seen = set()
+        for _ in range(40):
+            lam = random_lambda(rng, 0.45, 0.85)
+            for depth in range(1, 13):
+                escaped_at = membership(lam, set_kind, depth).escaped_at
+                assert escaped_at == escape_depth_bruteforce(lam, set_kind, depth)
+                seen.add(escaped_at)
+        assert 0 in seen and len(seen) >= 4
+
+    @pytest.mark.parametrize("set_kind", ["M", "M0"])
+    @pytest.mark.parametrize("value,escape", [(0.3 + 0.2j, 1), (0.52 + 0.04j, 5)])
+    def test_search_builds_no_level_past_its_escape_depth(self, set_kind, value, escape):
+        lam = _RecordedLambda(value)
+        lam.exponents = []
+        assert paramspace._search(lam, paramspace._digits(set_kind), 1024) == escape
+        assert max(lam.exponents, default=0) <= escape
 
     def test_monotonic_escape_depth(self, rng):
         for _ in range(20):
@@ -174,6 +208,18 @@ class TestEscapeGrid:
                     x0 + (i + 0.5) * (x1 - x0) / 4, y1 - (j + 0.5) * (y1 - y0) / 4
                 )
                 assert grid.values[j, i] == membership(lam, "M", 18).escaped_at
+
+    @pytest.mark.parametrize("set_kind", ["M", "M0"])
+    @pytest.mark.parametrize("window,width,height,depth", [
+        ((0.40, -0.05, 0.60, 0.05), 200, 101, 40),  # the README window
+        ((0.354, 0.0, 0.708, 0.354), 64, 64, 25),  # lower right quarter of the acceptance window
+    ])
+    def test_equals_reference_search(self, monkeypatch, set_kind, window, width, height, depth):
+        got = escape_grid(window, width, height, set_kind, depth).values
+        monkeypatch.setattr(paramspace, "_search", escape_depth_reference)
+        want = escape_grid(window, width, height, set_kind, depth).values
+        assert np.array_equal(got, want)
+        assert (got == 0).any() and (got > 1).any()
 
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValueError):
