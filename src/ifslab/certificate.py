@@ -178,9 +178,8 @@ def center_node(f: RationalTypeSeries, lam: complex, n: int) -> complex:
     (f_{ell+1+n}(lambda) - f_ell(lambda)) / lambda^(ell+1)."""
     ell = f.preperiod
     lam = complex(lam)
-    return (taylor_eval(f, lam, ell + 1 + n) - taylor_eval(f, lam, ell)) / lam ** (
-        ell + 1
-    )
+    sums = _taylor_sums(f, lam, ell + 1 + n)
+    return (sums[-1] - sums[ell]) / lam ** (ell + 1)
 
 
 def chain_disk(f: RationalTypeSeries, lam: complex, n: int) -> ChainDisk:
@@ -233,7 +232,8 @@ def condition_consecutive_overlap(
 
 def _consecutive_overlap(f: RationalTypeSeries, lam: complex, n: int) -> ConditionRecord:
     ell = f.preperiod
-    lhs = abs(taylor_eval(f, lam, ell + 1 + n)) + abs(taylor_eval(f, lam, ell + 2 + n))
+    sums = _taylor_sums(f, lam, ell + 2 + n)
+    lhs = abs(sums[-2]) + abs(sums[-1])
     rhs = abs(lam) ** (ell + n + 2) / (1.0 - abs(lam))
     return record_inequality("ii", n, lhs, rhs, flip=False)
 
@@ -273,13 +273,14 @@ def _separation(
         raise EnumerationTooLarge(f"5^(n+1) enumeration refused for n={n} > 12")
     factor, values, which = _separation_params(variant)
     ell = f.preperiod
+    sums = _taylor_sums(f, lam, ell + 1 + n)
     return _Separation(
         which=which,
         n=n,
         values=values,
         q=tuple(factor * coeff_at(f, ell + 1 + j) for j in range(n + 1)),
-        lhs=factor * abs(taylor_eval(f, lam, ell + 1 + n)),
-        base=factor * taylor_eval(f, lam, ell),
+        lhs=factor * abs(sums[-1]),
+        base=factor * sums[ell],
         scale=lam ** (ell + 1),
         powers=tuple(lam**j for j in range(n + 1)),
     )
@@ -378,11 +379,11 @@ def weakened_conditions(
         raise BadIndices(f"indices must satisfy 0 <= k_1 < ... < k_m <= p-1, got {ks}")
     absl = abs(lam)
     R = 1.0 / (1.0 - absl)
+    sums = _taylor_sums(f, lam, ell + 1 + ks[-1])
     records = []
     for j, kj in enumerate(ks):
         kj1 = ks[(j + 1) % m]
-        fj = taylor_eval(f, lam, ell + 1 + kj)
-        fj1 = taylor_eval(f, lam, ell + 1 + kj1)
+        fj, fj1 = sums[ell + 1 + kj], sums[ell + 1 + kj1]
         label = f"j={j + 1},k={kj}"
         records.append(
             record_inequality(
@@ -416,11 +417,20 @@ def _periodicity_residual(
 def parameter_probe(f: RationalTypeSeries, lam: complex, b: complex, n: int) -> complex:
     """Parameter-space image of an attractor-space base point b:
 
-        lambda + lambda^{p n} * (lambda^{ell+1} / f'(lambda)) * (b - center).
+        mu = lambda - lambda^{p n} * (lambda^{ell+1} / f'(lambda)) * (b - center).
 
-    The asymptotic similarity of the locus to the attractor sends points
-    outside the attractor to parameters predicted to fall outside the locus
-    for large n.  Probe outcomes are evidence only, never part of a verdict.
+    The tail of f after its first ell+1 coefficients sums to the center at
+    lambda, and after ell+1+pn coefficients it is the same tail, so
+    f(z) = f_{ell+pn}(z) + z^{ell+1+pn} tau(z) with tau(lambda) = center.  A
+    series g(z) = f_{ell+pn}(z) + z^{ell+1+pn} T(z) that keeps those
+    coefficients and continues with a tail T, T(lambda) = b, is then
+    g(z) = f(z) + z^{ell+1+pn} (T(z) - tau(z)).  To first order near lambda,
+    g(mu) = f'(lambda) (mu - lambda) + lambda^{ell+1+pn} (b - center), which
+    vanishes at the mu above.  So for b in the attractor, mu is near a
+    parameter of the locus, and the asymptotic similarity of the locus to the
+    attractor sends points outside the attractor to parameters predicted to
+    fall outside the locus for large n.  Probe outcomes are evidence only,
+    never part of a verdict.
     """
     z = selfsim_center(f, lam)
     lam = complex(lam)
@@ -428,7 +438,7 @@ def parameter_probe(f: RationalTypeSeries, lam: complex, b: complex, n: int) -> 
     if abs(fp) < 1e-12:
         raise DerivativeVanished(f"|f'(lambda)| = {abs(fp):.3e} too small")
     ell, p = f.preperiod, f.period
-    return lam + lam ** (p * n) * (lam ** (ell + 1) / fp) * (complex(b) - z)
+    return lam - lam ** (p * n) * (lam ** (ell + 1) / fp) * (complex(b) - z)
 
 
 def _instar_clearance(

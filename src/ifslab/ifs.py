@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LevelTooDeep
-from .series import RationalTypeSeries, coeff_at
+from .series import RationalTypeSeries, _power_sums, coeff_at
 
 BINARY = "binary"
 TERNARY = "ternary"
@@ -69,12 +69,7 @@ def node(word: Word, lam: complex) -> complex:
     """nu_w = sum a_j lambda^j for the word w = a_0 a_1 ..."""
     if len(word) == 0:
         raise ValueError("word must be nonempty")
-    acc = complex(0.0)
-    power = complex(1.0)
-    for a in word.letters:
-        acc += a * power
-        power *= lam
-    return acc
+    return _power_sums(word.letters, lam)[0][-1]
 
 
 #: Nodes per block of ``_level_blocks``; its working memory is a few arrays
@@ -239,8 +234,8 @@ def selfsim_residuals(
                 f"word disagrees with series coefficient at index {j}"
             )
     lam = complex(lam)
-    shallow_node = node(Word(word.letters[: ell + n + 1]), lam)
-    deep_node = node(Word(word.letters[: deep + 1]), lam)
+    nodes = _power_sums(word.letters[: deep + 1], lam)[0]
+    shallow_node, deep_node = nodes[ell + n], nodes[deep]
     scale = lam ** (-k * p)
     center_residual = abs(scale * (deep_node - center) - (shallow_node - center))
     radius_residual = abs(

@@ -32,10 +32,10 @@ from .numerics import newton_root
 from .paramspace import membership
 from .series import (
     RationalTypeSeries,
+    _taylor_sums,
     numerator_polynomial,
     overlap_set,
     rational_eval,
-    taylor_eval,
 )
 
 SECTOR_MOD_LO = (math.sqrt(5.0) - 1.0) / 2.0
@@ -127,12 +127,10 @@ def existence_margins(f: RationalTypeSeries, lam: complex) -> list[ConditionReco
         raise NotARoot(f"lambda={lam} is not a root of {f}")
     absl = abs(lam)
     R = 1.0 / (1.0 - absl)
-    out = []
-    for n in range(f.period):
-        lhs = 2.0 * abs(taylor_eval(f, lam, n))
-        rhs = absl ** (n + 1) * R
-        out.append(record_inequality("exist", n, lhs, rhs, flip=False))
-    return out
+    return [
+        record_inequality("exist", n, 2.0 * abs(fn), absl ** (n + 1) * R, flip=False)
+        for n, fn in enumerate(_taylor_sums(f, lam, f.period - 1))
+    ]
 
 
 @dataclass(frozen=True)

@@ -162,23 +162,25 @@ def survivors(
     if 1.0 > levels[0][0]:
         return SurvivorList((), False)
     found: list[tuple[int, ...]] = []
-    stack = [((1,), complex(1.0))]
+    prefix: list[int] = []
+    # an entry is (Re f, Im f, prefix length, last digit), as in _search
+    stack = [(1.0, 0.0, 1, 1)]
     # one leaf past the cap is enough to know the list overflowed
     while stack and len(found) <= cap:
-        prefix, value = stack.pop()
-        k1 = len(prefix)
+        vr, vi, k1, digit = stack.pop()
+        prefix[k1 - 1:] = [digit]
         if k1 == depth:
-            found.append(prefix)
+            found.append(tuple(prefix))
             continue
         if k1 == len(levels):
             levels.append(_level(lam, absl, R, guard, k1))
         bound, pr, pi = levels[k1]
-        power = complex(pr, pi)
-        # children pushed plus-first so the minus branch pops first (lex order)
-        for digit in reversed(digits):
-            child = value + digit * power
-            if child.real**2 + child.imag**2 <= bound:
-                stack.append((prefix + (digit,), child))
+        # children pushed plus-first so the minus branch pops first (lex
+        # order); d * pr is pr, -pr or a zero, so these are _search's bits
+        for d in reversed(digits):
+            re, im = vr + d * pr, vi + d * pi
+            if re * re + im * im <= bound:
+                stack.append((re, im, k1 + 1, d))
     return SurvivorList(tuple(found[:cap]), len(found) > cap)
 
 

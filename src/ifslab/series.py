@@ -143,15 +143,23 @@ def coeff_at(f: RationalTypeSeries, j: int) -> int:
     return f.coeffs[ell + 1 + ((j - ell - 1) % p)]
 
 
-def _taylor_sums(f: RationalTypeSeries, lam: complex, k: int) -> list[complex]:
-    """The Taylor polynomials f_0(lambda), ..., f_k(lambda) of one running
-    sum.  Every caller takes its values from here, so all agree bit for bit."""
-    acc, power, sums = complex(0.0), complex(1.0), []
-    for j in range(k + 1):
-        acc += coeff_at(f, j) * power
+def _power_sums(coeffs, lam: complex, power: complex = complex(1.0)) -> tuple[list[complex], complex]:
+    """Partial sums of c_j * power * lambda^j over ``coeffs``, summed left to
+    right with a running power, and the power after the last term.  Every
+    scalar sum of coefficients against powers of lambda is taken here, so
+    all of them agree bit for bit."""
+    acc, sums = complex(0.0), []
+    for c in coeffs:
+        acc += c * power
         power *= lam
         sums.append(acc)
-    return sums
+    return sums, power
+
+
+def _taylor_sums(f: RationalTypeSeries, lam: complex, k: int) -> list[complex]:
+    """The Taylor polynomials f_0(lambda), ..., f_k(lambda) of one running
+    sum."""
+    return _power_sums([coeff_at(f, j) for j in range(k + 1)], lam)[0]
 
 
 def taylor_eval(f: RationalTypeSeries, lam: complex, k: int) -> complex:
@@ -171,19 +179,9 @@ def rational_eval(f: RationalTypeSeries, lam: complex) -> complex:
     """Full series value f(lambda) via the closed form."""
     lam = complex(lam)
     den = _check_pole(f, lam)
-    ell = f.preperiod
-    head = complex(0.0)
-    power = complex(1.0)
-    for j in range(ell + 1):
-        head += f.coeffs[j] * power
-        power *= lam
-    # power is now lam**(ell+1)
-    block_val = complex(0.0)
-    bpow = power
-    for c in f.block:
-        block_val += c * bpow
-        bpow *= lam
-    return head + block_val / den
+    head, power = _power_sums(f.head, lam)
+    block = _power_sums(f.block, lam, power)[0]
+    return head[-1] + block[-1] / den
 
 
 def derivative_eval(f: RationalTypeSeries, lam: complex) -> complex:

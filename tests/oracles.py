@@ -119,7 +119,8 @@ def survivors_bruteforce(lam, set_kind, depth):
         value = complex(1.0)
         for k in range(1, depth):
             value = value + prefix[k] * powers[k]
-            if value.real**2 + value.imag**2 > bounds_sq[k]:
+            re, im = value.real, value.imag
+            if re * re + im * im > bounds_sq[k]:
                 break
         else:
             found.append(prefix)

@@ -2,7 +2,9 @@
 
 The benchmark's tracer wraps a fixed list of functions by name, and its
 thread probe passes ``threads=2``.  Without these tests, removing or renaming
-one of them would surface only when ``perfbench/run.py --trace 1`` runs."""
+one of them would surface only when ``perfbench/run.py --trace 1`` runs.  Its
+input generator finds and checks roots with ``series``, so its self-test runs
+here too."""
 
 import importlib
 from pathlib import Path
@@ -56,3 +58,12 @@ def test_thread_probe_keywords_change_nothing():
     assert np.array_equal(grids[0], grids[1])
     nodes = [ifs.level_nodes(0.52 + 0.31j, 6, ifs.TERNARY, threads=t) for t in (1, 2)]
     assert nodes[0].tobytes() == nodes[1].tobytes()
+
+
+def test_benchmark_inputs_pass_their_selftest(monkeypatch):
+    # the input generator evaluates series (Newton roots and their
+    # residuals), so a change to that arithmetic can invalidate its jobs
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    inputs = importlib.import_module("inputs")
+    for workload in ("raster", "certify", "attractor"):
+        assert inputs.selftest(workload, 600) == []

@@ -297,19 +297,19 @@ class TestParameterProbe:
         f, lam = fixtures[5].series, roots[5]
         center = selfsim_center(f, lam)
         b = 1.3 - 0.4j
-        expected = lam + lam**6 * (lam / derivative_eval(f, lam)) * (b - center)
+        expected = lam - lam**6 * (lam / derivative_eval(f, lam)) * (b - center)
         assert parameter_probe(f, lam, b, 2) == pytest.approx(expected)
 
     def test_probe_outcomes_recorded(self, roots, fixtures):
-        # evidence only: the chain-disk center maps to a parameter the
-        # depth-40 search cannot exclude, its reflection through the center
-        # escapes decisively
+        # evidence only: the chain-disk center, outside the attractor, maps
+        # to a parameter that escapes decisively; its reflection through the
+        # center maps to one the depth-40 search cannot exclude
         f, lam = fixtures[1].series, roots[1]
         center = selfsim_center(f, lam)
         b = chain_disk(f, lam, 0).center
-        assert membership(parameter_probe(f, lam, b, 3), "M", 40).survived
+        assert membership(parameter_probe(f, lam, b, 3), "M", 40).escaped_at > 1
         reflected = parameter_probe(f, lam, 2 * center - b, 3)
-        assert membership(reflected, "M", 40).escaped_at > 1
+        assert membership(reflected, "M", 40).survived
 
 
 class TestCertify:

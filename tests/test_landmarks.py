@@ -125,6 +125,17 @@ class TestSuite:
         assert oc.id == 3 and oc.expected_ok
         assert oc.overlap_count == 4
 
+    def test_probe_outcomes(self):
+        # the chain-disk center lies outside the attractor, so its probe
+        # escapes at landmarks 1-5 and its reflection's probe survives;
+        # landmark 6 is the negative control, whose chain does not connect
+        outcomes = run_suite()
+        assert [oc.probe_out for oc in outcomes] == [
+            "M:depth40:escaped(7)", "M:depth40:escaped(6)", "M:depth40:escaped(7)",
+            "M:depth40:escaped(6)", "M:depth40:escaped(14)", "M:depth40:survived",
+        ]
+        assert [oc.probe_in for oc in outcomes] == ["M:depth40:survived"] * 6
+
     def test_sector_landmark_margins_positive(self):
         for oc in run_suite([1, 2, 3, 4]):
             assert oc.min_condition_margin > 1e-3

@@ -82,7 +82,8 @@ class TestMembership:
         lam = _RecordedLambda(value)
         lam.exponents = []
         assert paramspace._search(lam, paramspace._digits(set_kind), 1024) == escape
-        assert max(lam.exponents, default=0) <= escape
+        # one lam**k per level built, none past the escape depth
+        assert lam.exponents == list(range(escape))
 
     def test_monotonic_escape_depth(self, rng):
         for _ in range(20):
@@ -116,7 +117,54 @@ class TestMembership:
             assert membership(roots[5], "M0", depth).survived
 
 
+# Parameters where squaring with x**2 (C pow) and with x*x differ at the
+# depth-2 bound; survivors once squared with x**2 and disagreed with
+# membership at all three, for M and M0.
+POW_SENSITIVE = (
+    -0.49801539538250456 + 0.06275594371157604j,
+    -0.49632076383252555 + 0.0851702317228026j,
+    -0.4688631596620354 + 0.2371042563530149j,
+)
+
+
 class TestSurvivors:
+    @pytest.mark.parametrize("set_kind", ["M", "M0"])
+    def test_agrees_with_membership(self, set_kind):
+        cases = [(lam, 2) for lam in POW_SENSITIVE]
+        rng = np.random.default_rng(31)
+        cases += [(random_lambda(rng, 0.45, 0.85), depth)
+                  for _ in range(30) for depth in range(1, 11)]
+        verdicts = set()
+        for lam, depth in cases:
+            survived = membership(lam, set_kind, depth).survived
+            assert bool(survivors(lam, set_kind, depth, cap=1).prefixes) == survived
+            verdicts.add(survived)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("set_kind", ["M", "M0"])
+    @pytest.mark.parametrize("lam,depth", [
+        (0.3 + 0.2j, 1024), (0.52 + 0.04j, 1024), (0.6 + 0.3j, 30),
+    ])
+    def test_builds_each_level_once_in_order(self, monkeypatch, set_kind, lam, depth):
+        # an escaping walk reaches the escape depth, a surviving one all levels
+        levels = membership(lam, set_kind, depth).escaped_at or depth
+        plain = survivors(lam, set_kind, depth, cap=10**6).prefixes
+        asked = []
+        level = paramspace._level
+
+        def mirrored(lam, absl, R, guard, k):
+            # -lambda^k turns the child of digit d into the child of -d, bit
+            # for bit, so the walk must return the mirrored prefixes
+            asked.append(k)
+            bound, pr, pi = level(lam, absl, R, guard, k)
+            return bound, -pr, -pi
+
+        monkeypatch.setattr(paramspace, "_level", mirrored)
+        got = survivors(lam, set_kind, depth, cap=10**6).prefixes
+        assert asked == list(range(levels))
+        assert sorted(got) == sorted((1,) + tuple(-d for d in p[1:]) for p in plain)
+        assert bool(got) == (levels == depth)
+
     def test_landmark1_root_prefix_present(self, roots, fixtures):
         out = survivors(roots[1], "M0", 20, cap=4096)
         prefix = tuple(
