@@ -22,15 +22,20 @@ inequalities on the Taylor truncations of f, which this module evaluates with
 explicit margins, alongside the direct disk geometry, so algebra and geometry
 can be cross-checked independently.
 
+Each quantity has one expression.  The center, the center's itinerary nodes
+and the chain disks are read off one table of Taylor sums (``_chain``); every
+tail radius |lambda|^(k+1) / (1 - |lambda|) is ``ifs.nodal_radius``; and
+``certify`` checks the root once, through ``verify_chain``.
+
 Condition (iii) at level n is a minimum over 5^(n+1) polynomials (3^(n+1) in
 the single form (iii') used for M0), and all of them share one left-hand
 side, so the smallest margin alone decides the level.  ``certify`` therefore
 keeps one (iii)/(iii') record per n: the worst polynomial, labelled
 ``P=...``, found by streaming the polynomials in bounded blocks;
 ``failure_reasons`` lists one line per failing n.
-``condition_instar_separation`` still returns every record.  The instar
-clearance of ``verify_chain`` streams the level-n nodes the same way, so
-memory stays flat as the period grows.
+``condition_instar_separation`` still returns every record, up to
+MAX_SEPARATION_RECORDS.  The instar clearance of ``verify_chain`` streams the
+level-n nodes the same way, so memory stays flat as the period grows.
 """
 
 from __future__ import annotations
@@ -64,6 +69,9 @@ ROOT_TOL = 1e-8
 #: A strict inequality only counts as decided when the margin clears this
 #: relative band; inside the band the verdict degrades to "inconclusive".
 DECISION_BAND = 1e-12
+#: Most records ``condition_instar_separation`` returns: n <= 6 doubled and
+#: n <= 9 single.  ``certify`` streams its (iii) search and is not bound by it.
+MAX_SEPARATION_RECORDS = 5**7
 
 VERDICT_ACCESSIBLE_M = "accessible_M"
 VERDICT_ACCESSIBLE_M0 = "accessible_M0"
@@ -168,39 +176,38 @@ def _require_root(f: RationalTypeSeries, lam: complex) -> complex:
 
 def selfsim_center(f: RationalTypeSeries, lam: complex) -> complex:
     """The self-similarity center -f_ell(lambda) / lambda^(ell+1)."""
-    lam = _require_root(f, lam)
-    ell = f.preperiod
-    return -taylor_eval(f, lam, ell) / lam ** (ell + 1)
+    return _chain(f, _require_root(f, lam), 0)[0]
 
 
 def center_node(f: RationalTypeSeries, lam: complex, n: int) -> complex:
     """Level-n node of the center's itinerary:
     (f_{ell+1+n}(lambda) - f_ell(lambda)) / lambda^(ell+1)."""
-    ell = f.preperiod
-    lam = complex(lam)
-    sums = _taylor_sums(f, lam, ell + 1 + n)
-    return (sums[-1] - sums[ell]) / lam ** (ell + 1)
+    return _chain(f, complex(lam), n + 1)[1][n]
 
 
 def chain_disk(f: RationalTypeSeries, lam: complex, n: int) -> ChainDisk:
     """Chain disk n: the reflection of the center's level-n itinerary node
     about the center, with the radius that makes it tangent to that node's
     instar disk."""
-    return _chain_disks(f, _require_root(f, lam), n + 1)[n]
+    return _chain(f, _require_root(f, lam), n + 1)[2][n]
 
 
-def _chain_disks(f: RationalTypeSeries, lam: complex, count: int) -> list[ChainDisk]:
-    """Chain disks 0..count-1 from one running Taylor sum, in work linear in
-    ell + count; each has the bits of the per-n ``taylor_eval`` formula."""
+def _chain(f: RationalTypeSeries, lam: complex, count: int) -> tuple[complex, list, list[ChainDisk]]:
+    """The self-similarity center, the center's itinerary nodes 0..count-1
+    and chain disks 0..count-1, all read off one running Taylor sum in work
+    linear in ell + count.  This is the only expression of each of them."""
     ell = f.preperiod
     sums = _taylor_sums(f, lam, ell + count)
     fl = sums[ell]
     scale = lam ** (ell + 1)
-    return [
+    tail = sums[ell + 1:]
+    nodes = [(fn - fl) / scale for fn in tail]
+    disks = [
         ChainDisk(n, -(fn + fl) / scale,
                   2.0 * abs(fn) / abs(scale) - ifs.nodal_radius(lam, n))
-        for n, fn in enumerate(sums[ell + 1:])
+        for n, fn in enumerate(tail)
     ]
+    return -fl / scale, nodes, disks
 
 
 def record_inequality(which: str, n: int, lhs: float, rhs: float, flip: bool, label: str = "") -> ConditionRecord:
@@ -218,7 +225,7 @@ def condition_disk_exists(f: RationalTypeSeries, lam: complex, n: int) -> Condit
 def _disk_exists(f: RationalTypeSeries, lam: complex, n: int) -> ConditionRecord:
     ell = f.preperiod
     lhs = abs(taylor_eval(f, lam, ell + 1 + n))
-    rhs = 0.5 * abs(lam) ** (ell + n + 2) / (1.0 - abs(lam))
+    rhs = 0.5 * ifs.nodal_radius(lam, ell + 1 + n)
     return record_inequality("i", n, lhs, rhs, flip=False)
 
 
@@ -234,7 +241,7 @@ def _consecutive_overlap(f: RationalTypeSeries, lam: complex, n: int) -> Conditi
     ell = f.preperiod
     sums = _taylor_sums(f, lam, ell + 2 + n)
     lhs = abs(sums[-2]) + abs(sums[-1])
-    rhs = abs(lam) ** (ell + n + 2) / (1.0 - abs(lam))
+    rhs = ifs.nodal_radius(lam, ell + 1 + n)
     return record_inequality("ii", n, lhs, rhs, flip=False)
 
 
@@ -296,10 +303,14 @@ def condition_instar_separation(
     single form drops the factor 2 and restricts P to {-1, 0, +1}.  The one
     excluded polynomial Q (coefficients 2*c_{ell+1+j}, resp. c_{ell+1+j}) is
     matched by exact integer comparison and corresponds to the tangent disk.
-    Records come in itertools.product order of the coefficients.
+    Records come in itertools.product order of the coefficients; more than
+    MAX_SEPARATION_RECORDS raise EnumerationTooLarge before any is built.
     """
     lam = _require_root(f, lam)
     sep = _separation(f, lam, n, variant)
+    count = len(sep.values) ** (n + 1) - 1
+    if count > MAX_SEPARATION_RECORDS:
+        raise EnumerationTooLarge(f"{count} records at n={n} exceed {MAX_SEPARATION_RECORDS}")
     return [
         sep.record(coeffs)
         for coeffs in itertools.product(sep.values, repeat=n + 1)
@@ -377,22 +388,15 @@ def weakened_conditions(
         raise BadIndices(f"need 2 <= m <= p, got m={m}, p={p}")
     if ks != sorted(set(ks)) or ks[0] < 0 or ks[-1] > p - 1:
         raise BadIndices(f"indices must satisfy 0 <= k_1 < ... < k_m <= p-1, got {ks}")
-    absl = abs(lam)
-    R = 1.0 / (1.0 - absl)
     sums = _taylor_sums(f, lam, ell + 1 + ks[-1])
     records = []
     for j, kj in enumerate(ks):
         kj1 = ks[(j + 1) % m]
         fj, fj1 = sums[ell + 1 + kj], sums[ell + 1 + kj1]
         label = f"j={j + 1},k={kj}"
-        records.append(
-            record_inequality(
-                "w-i", kj, abs(fj), 0.5 * absl ** (ell + 2 + kj) * R, flip=False,
-                label=label,
-            )
-        )
+        records.append(replace(_disk_exists(f, lam, kj), which="w-i", label=label))
         lhs = abs(fj) + abs(fj1) - 0.5 * abs(fj - fj1)
-        rhs = 0.5 * (absl ** (ell + 2 + kj) + absl ** (ell + 2 + kj1)) * R
+        rhs = 0.5 * (ifs.nodal_radius(lam, ell + 1 + kj) + ifs.nodal_radius(lam, ell + 1 + kj1))
         records.append(record_inequality("w-ii", kj, lhs, rhs, flip=False, label=label))
         worst = _worst_separation(f, lam, kj, "single")
         records.append(replace(worst, which="w-iii", label=f"{label},{worst.label}"))
@@ -402,9 +406,8 @@ def weakened_conditions(
 def periodicity_residual(f: RationalTypeSeries, lam: complex, n: int) -> float:
     """|lambda^p (omega_n - center) - (omega_{n+p} - center)|: one period of
     the chain must be the lambda^p-scaled image of the previous one."""
-    z = selfsim_center(f, lam)
-    lam = complex(lam)
-    disks = _chain_disks(f, lam, n + f.period + 1)
+    lam = _require_root(f, lam)
+    z, _, disks = _chain(f, lam, n + f.period + 1)
     return _periodicity_residual(lam, f.period, z, disks[n], disks[n + f.period])
 
 
@@ -490,7 +493,7 @@ def verify_chain(
     count = periods_checked * f.period
     if count > 14:
         raise LevelTooDeep(f"{count} chain levels exceed the guard of 14")
-    disks = _chain_disks(f, lam, count + 1)
+    _, nodes, disks = _chain(f, lam, count + 1)
     alphabet = ifs.TERNARY if target == "M" else ifs.BINARY
     signs = np.array(ifs._signs(alphabet), dtype=np.complex128)
     levels = []
@@ -498,7 +501,7 @@ def verify_chain(
         dn, dn1 = disks[n], disks[n + 1]
         gap = abs(dn.center - dn1.center)
         connect_margin = dn.radius + dn1.radius - gap
-        disjoint_margin = _instar_clearance(lam, n, signs, dn, center_node(f, lam, n))
+        disjoint_margin = _instar_clearance(lam, n, signs, dn, nodes[n])
         if n == 0:
             contained, residual = None, None
         else:
@@ -540,11 +543,13 @@ def certify(f: RationalTypeSeries, lam: complex, target: str = "M") -> Certifica
     each n < p; the other polynomials of that n share its left-hand side
     and have larger margins, so they cannot change the verdict.
     """
-    if target not in ("M", "M0"):
-        raise ValueError(f"target must be 'M' or 'M0', got {target!r}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", HypothesisViolated)
-        lam = _require_root(f, lam)
+        # The geometry comes first: it checks the target, the root and its
+        # level guard, in that order, so a long period is refused before any
+        # (iii) polynomial.
+        geometry = verify_chain(f, lam, 2, target)
+        lam = complex(lam)
         p = f.period
         zero_free = not f.zero_positions
         reasons: list[str] = []
@@ -553,13 +558,9 @@ def certify(f: RationalTypeSeries, lam: complex, target: str = "M") -> Certifica
                 "target M0 requires a series with no zero coefficients; "
                 f"zeros at indices {f.zero_positions}"
             )
-        # The geometry comes first: its level guard refuses a long period
-        # before any chain disk or (iii) polynomial.  Disks 0..3p-1 are the
-        # two checked periods and the one the residuals compare the second
-        # of them with.
-        geometry = verify_chain(f, lam, 2, target)
-        center = selfsim_center(f, lam)
-        disks = _chain_disks(f, lam, 3 * p)
+        # disks 0..3p-1: the two checked periods and the one the residuals
+        # compare the second of them with
+        center, _, disks = _chain(f, lam, 3 * p)
         chain = tuple(disks[:2 * p + 1])
         residuals = tuple(
             _periodicity_residual(lam, p, center, disks[n], disks[n + p])
@@ -601,7 +602,7 @@ def certify(f: RationalTypeSeries, lam: complex, target: str = "M") -> Certifica
         else:
             verdict = VERDICT_ACCESSIBLE_M if target == "M" else VERDICT_ACCESSIBLE_M0
         shared = target == "M" and zero_free and verdict == VERDICT_ACCESSIBLE_M
-        notes = tuple(dict.fromkeys(str(w.message) for w in caught))
+        notes = tuple(str(w.message) for w in caught)
     return CertificateReport(
         lam=lam,
         series=f,

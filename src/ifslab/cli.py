@@ -262,7 +262,7 @@ def _overlay_circles(
         except NotARoot:
             raise ParseError("--overlay chain requires lambda to be a root "
                              "of --series") from None
-        disks = certificate._chain_disks(series, lam, periods * series.period)
+        disks = certificate._chain(series, lam, periods * series.period)[2]
         circles = [(functools.partial(np.array, [disk.center]), disk.radius)
                    for disk in disks if disk.radius > 0]
         color = (0, 160, 0)

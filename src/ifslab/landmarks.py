@@ -21,13 +21,14 @@ import math
 from dataclasses import dataclass
 
 from .certificate import (
-    ROOT_TOL,
     ConditionRecord,
+    _require_root,
     certify,
     parameter_probe,
     record_inequality,
 )
-from .errors import NotARoot, UnknownLandmark
+from .errors import UnknownLandmark
+from .ifs import nodal_radius
 from .numerics import newton_root
 from .paramspace import membership
 from .series import (
@@ -122,13 +123,9 @@ def existence_margins(f: RationalTypeSeries, lam: complex) -> list[ConditionReco
     shifted by one period, so all of them passing guarantees every chain disk
     exists.
     """
-    lam = complex(lam)
-    if abs(rational_eval(f, lam)) >= ROOT_TOL:
-        raise NotARoot(f"lambda={lam} is not a root of {f}")
-    absl = abs(lam)
-    R = 1.0 / (1.0 - absl)
+    lam = _require_root(f, lam)
     return [
-        record_inequality("exist", n, 2.0 * abs(fn), absl ** (n + 1) * R, flip=False)
+        record_inequality("exist", n, 2.0 * abs(fn), nodal_radius(lam, n), flip=False)
         for n, fn in enumerate(_taylor_sums(f, lam, f.period - 1))
     ]
 

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ParseError, PoleAtUnity, ZerosInPeriod
+from .numerics import poly_derivative_eval, poly_eval
 
 _ALLOWED = (-1, 0, 1)
 
@@ -185,18 +186,14 @@ def rational_eval(f: RationalTypeSeries, lam: complex) -> complex:
 
 
 def derivative_eval(f: RationalTypeSeries, lam: complex) -> complex:
-    """Derivative f'(lambda), differentiating the closed form."""
+    """Derivative f'(lambda) of the closed form f = N / D, with N the
+    numerator polynomial and D = 1 - lambda^p:
+    f' = (N' D + N p lambda^(p-1)) / D^2, both polynomials by Horner's rule."""
     lam = complex(lam)
     den = _check_pole(f, lam)
-    ell, p = f.preperiod, f.period
-    head_d = sum(j * f.coeffs[j] * lam ** (j - 1) for j in range(1, ell + 1))
-    block = complex(0.0)
-    block_d = complex(0.0)
-    for i, c in enumerate(f.block):
-        j = ell + 1 + i
-        block += c * lam**j
-        block_d += j * c * lam ** (j - 1)
-    return head_d + (block_d * den + block * p * lam ** (p - 1)) / den**2
+    num, p = numerator_polynomial(f), f.period
+    top = poly_derivative_eval(num, lam) * den + poly_eval(num, lam) * p * lam ** (p - 1)
+    return top / den**2
 
 
 def numerator_polynomial(f: RationalTypeSeries) -> list[int]:

@@ -21,21 +21,21 @@ def hausdorff_bruteforce(E, F):
 def exhaustive_verdict(lam, set_kind, depth):
     """Survival verdict by enumerating every coefficient sequence of the
     given depth (no pruning): some sequence must satisfy the tail bound at
-    every truncation level."""
+    every truncation level.  The error model is ``membership``'s: partial
+    sums start from 1 and add c_k lambda^k part by part, and the squared
+    modulus re*re + im*im is compared with the squared bound."""
     digits = (-1, 0, 1) if set_kind == "M" else (-1, 1)
-    absl = abs(lam)
-    R = 1.0 / (1.0 - absl)
-    bounds = np.array([absl ** (k + 1) * R + PRUNE_GUARD * R for k in range(depth)])
-    if 1.0 > bounds[0]:
+    bounds_sq = np.array(_prune_bounds_sq(abs(lam), depth))
+    if 1.0 > bounds_sq[0]:
         return False
     if depth == 1:
         return True
-    choices = np.array(
-        list(itertools.product(digits, repeat=depth - 1)), dtype=np.complex128
-    )
+    choices = np.array(list(itertools.product(digits, repeat=depth - 1)), dtype=float)
     powers = np.array([lam**k for k in range(1, depth)])
-    partials = np.cumsum(choices * powers[None, :], axis=1) + 1.0
-    ok = np.all(np.abs(partials) <= bounds[None, 1:], axis=1)
+    first = np.ones((len(choices), 1))
+    re = np.cumsum(np.hstack([first, choices * powers.real]), axis=1)[:, 1:]
+    im = np.cumsum(np.hstack([np.zeros_like(first), choices * powers.imag]), axis=1)[:, 1:]
+    ok = np.all(re * re + im * im <= bounds_sq[None, 1:], axis=1)
     return bool(np.any(ok))
 
 
@@ -130,6 +130,22 @@ def survivors_bruteforce(lam, set_kind, depth):
 def taylor_naive(coeff_fn, lam, k):
     """Power-sum Taylor evaluation using an explicit coefficient callback."""
     return sum(coeff_fn(j) * lam**j for j in range(k + 1))
+
+
+def derivative_closed_form(f, lam):
+    """f'(lambda) by differentiating head and block of the closed form term
+    by term, each power taken with its own ``**``."""
+    lam = complex(lam)
+    ell, p = f.preperiod, f.period
+    den = 1.0 - lam**p
+    head_d = sum(j * f.coeffs[j] * lam ** (j - 1) for j in range(1, ell + 1))
+    block = complex(0.0)
+    block_d = complex(0.0)
+    for i, c in enumerate(f.block):
+        j = ell + 1 + i
+        block += c * lam**j
+        block_d += j * c * lam ** (j - 1)
+    return head_d + (block_d * den + block * p * lam ** (p - 1)) / den**2
 
 
 def chain_disk_taylor(f, lam, n):

@@ -119,7 +119,7 @@ class TestChainDisk:
     @staticmethod
     def _assert_one_pass_bits(f, lam, count):
         # repr round-trips every float, so equal reprs are equal bits
-        got = certificate._chain_disks(f, lam, count)
+        got = certificate._chain(f, lam, count)[2]
         want = [chain_disk_taylor(f, lam, n) for n in range(count)]
         assert [repr(d) for d in got] == [repr(d) for d in want]
 
@@ -445,7 +445,7 @@ class TestStreamedCertificate:
             raise AssertionError("chain disk or condition (iii) built before the guard")
 
         monkeypatch.setattr(certificate, "_worst_separation", searched)
-        monkeypatch.setattr(certificate, "_chain_disks", searched)
+        monkeypatch.setattr(certificate, "_chain", searched)
         period8 = RationalTypeSeries.parse("1;1,1,-1,1,1,-1,-1,1")
         # p = 1600: seeded near the first np.roots root of the numerator with
         # 0.3 < |z| < 0.97 and Im z > 0.01 (np.roots takes seconds here)
@@ -455,6 +455,48 @@ class TestStreamedCertificate:
             lam = newton_root(numerator_polynomial(f), seed)
             with pytest.raises(LevelTooDeep):
                 certify(f, lam, target=target)
+
+
+class TestOneExpression:
+    """Each certificate quantity is computed once per call."""
+
+    @pytest.mark.parametrize("target", ["M", "M0"])
+    def test_certify_checks_the_root_once(self, roots, fixtures, monkeypatch, target):
+        calls = []
+        check = certificate._require_root
+
+        def counted(f, lam):
+            calls.append(lam)
+            return check(f, lam)
+
+        monkeypatch.setattr(certificate, "_require_root", counted)
+        certify(fixtures[5].series, roots[5], target=target)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("target", ["M", "M0"])
+    def test_verify_chain_reads_nodes_from_the_chain_table(
+        self, roots, fixtures, monkeypatch, target
+    ):
+        f, lam = fixtures[5].series, roots[5]
+        want = verify_chain(f, lam, 2, target)
+
+        def per_level(*args):
+            raise AssertionError("center node summed on its own")
+
+        monkeypatch.setattr(certificate, "center_node", per_level)
+        assert verify_chain(f, lam, 2, target) == want
+
+    @pytest.mark.parametrize("n, variant", [(7, "doubled"), (10, "single")])
+    def test_separation_records_refused_before_any_is_built(
+        self, roots, fixtures, monkeypatch, n, variant
+    ):
+        def enumerated(*args, **kwargs):
+            raise AssertionError("separation records enumerated past the ceiling")
+
+        monkeypatch.setattr(certificate.itertools, "product", enumerated)
+        with pytest.raises(EnumerationTooLarge):
+            condition_instar_separation(fixtures[5].series, roots[5], n, variant)
+
 
 class TestReportRoundTrip:
     def test_json_round_trip_field_exact(self, roots, fixtures):

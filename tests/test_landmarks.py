@@ -3,7 +3,9 @@ import math
 import pytest
 
 from ifslab import (
+    HypothesisViolated,
     NotARoot,
+    RationalTypeSeries,
     UnknownLandmark,
     existence_margins,
     landmark,
@@ -102,6 +104,11 @@ class TestExistenceMargins:
     def test_perturbed_parameter_rejected(self, roots, fixtures):
         with pytest.raises(NotARoot):
             existence_margins(fixtures[5].series, roots[5] + 0.1)
+
+    def test_warns_like_the_certificate(self):
+        # the root check is the certificate's, so a real root is flagged
+        with pytest.warns(HypothesisViolated, match="real"):
+            existence_margins(RationalTypeSeries.parse("1;-1"), 0.5)
 
 
 class TestSuite:

@@ -127,6 +127,14 @@ POW_SENSITIVE = (
 )
 
 
+@pytest.mark.parametrize("set_kind", ["M", "M0"])
+@pytest.mark.parametrize("lam", POW_SENSITIVE)
+def test_exhaustive_oracle_shares_the_error_model(lam, set_kind):
+    # the oracle of acceptance criterion 10 sums from 1 and squares as the
+    # search does, so it agrees where rounding decides the verdict
+    assert exhaustive_verdict(lam, set_kind, 2) == membership(lam, set_kind, 2).survived
+
+
 class TestSurvivors:
     @pytest.mark.parametrize("set_kind", ["M", "M0"])
     def test_agrees_with_membership(self, set_kind):

@@ -14,8 +14,11 @@ from ifslab import (
     rational_eval,
     taylor_eval,
 )
+from ifslab import series
+from ifslab.numerics import poly_derivative_eval
 
-from conftest import random_lambda
+from conftest import random_lambda, random_rooted_series
+from oracles import derivative_closed_form
 
 
 class TestConstruction:
@@ -158,6 +161,23 @@ class TestDerivative:
 
     def test_nonvanishing_at_landmark1(self, roots, fixtures):
         assert abs(derivative_eval(fixtures[1].series, roots[1])) > 0.1
+
+    def test_horner_engine_matches_closed_form_loops(self, rng, monkeypatch):
+        # f' comes from the numerator polynomial through numerics' Horner
+        # evaluation, and agrees with the term-by-term closed form
+        calls = []
+
+        def counted(coeffs, z):
+            calls.append(z)
+            return poly_derivative_eval(coeffs, z)
+
+        monkeypatch.setattr(series, "poly_derivative_eval", counted)
+        for period in (1, 2, 3, 4, 5, 7, 9, 13):
+            for _ in range(5):
+                f, lam = random_rooted_series(rng, period)
+                want = derivative_closed_form(f, lam)
+                assert abs(derivative_eval(f, lam) - want) <= 1e-12 * abs(want)
+        assert len(calls) == 40
 
 
 class TestNumeratorPolynomial:
