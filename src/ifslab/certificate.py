@@ -22,10 +22,10 @@ inequalities on the Taylor truncations of f, which this module evaluates with
 explicit margins, alongside the direct disk geometry, so algebra and geometry
 can be cross-checked independently.
 
-Each quantity has one expression.  The center, the center's itinerary nodes
-and the chain disks are read off one table of Taylor sums (``_chain``); every
-tail radius |lambda|^(k+1) / (1 - |lambda|) is ``ifs.nodal_radius``; and
-``certify`` checks the root once, through ``verify_chain``.
+Each quantity has one expression.  A call builds one table of Taylor sums
+(``_chain``) and reads the center, its itinerary nodes, the chain disks and
+conditions (i)-(iii) off it; ``certify`` builds two, one in ``verify_chain``,
+through which it checks the root once.  Every tail radius is ``ifs.nodal_radius``.
 
 Condition (iii) at level n is a minimum over 5^(n+1) polynomials (3^(n+1) in
 the single form (iii') used for M0), and all of them share one left-hand
@@ -62,7 +62,6 @@ from .series import (
     coeff_at,
     derivative_eval,
     rational_eval,
-    taylor_eval,
 )
 
 ROOT_TOL = 1e-8
@@ -174,28 +173,28 @@ def _require_root(f: RationalTypeSeries, lam: complex) -> complex:
     return lam
 
 
+def _require_level(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"level index must be >= 0, got n={n}")
+
+
 def selfsim_center(f: RationalTypeSeries, lam: complex) -> complex:
     """The self-similarity center -f_ell(lambda) / lambda^(ell+1)."""
     return _chain(f, _require_root(f, lam), 0)[0]
-
-
-def center_node(f: RationalTypeSeries, lam: complex, n: int) -> complex:
-    """Level-n node of the center's itinerary:
-    (f_{ell+1+n}(lambda) - f_ell(lambda)) / lambda^(ell+1)."""
-    return _chain(f, complex(lam), n + 1)[1][n]
 
 
 def chain_disk(f: RationalTypeSeries, lam: complex, n: int) -> ChainDisk:
     """Chain disk n: the reflection of the center's level-n itinerary node
     about the center, with the radius that makes it tangent to that node's
     instar disk."""
+    _require_level(n)
     return _chain(f, _require_root(f, lam), n + 1)[2][n]
 
 
-def _chain(f: RationalTypeSeries, lam: complex, count: int) -> tuple[complex, list, list[ChainDisk]]:
-    """The self-similarity center, the center's itinerary nodes 0..count-1
-    and chain disks 0..count-1, all read off one running Taylor sum in work
-    linear in ell + count.  This is the only expression of each of them."""
+def _chain(f: RationalTypeSeries, lam: complex, count: int) -> tuple[complex, list, list[ChainDisk], list]:
+    """The self-similarity center, the center's itinerary nodes and chain
+    disks 0..count-1, and the one running Taylor sum f_0..f_{ell+count} they
+    are read off.  This is the only expression of each of them."""
     ell = f.preperiod
     sums = _taylor_sums(f, lam, ell + count)
     fl = sums[ell]
@@ -207,7 +206,7 @@ def _chain(f: RationalTypeSeries, lam: complex, count: int) -> tuple[complex, li
                   2.0 * abs(fn) / abs(scale) - ifs.nodal_radius(lam, n))
         for n, fn in enumerate(tail)
     ]
-    return -fl / scale, nodes, disks
+    return -fl / scale, nodes, disks, sums
 
 
 def record_inequality(which: str, n: int, lhs: float, rhs: float, flip: bool, label: str = "") -> ConditionRecord:
@@ -219,12 +218,14 @@ def record_inequality(which: str, n: int, lhs: float, rhs: float, flip: bool, la
 def condition_disk_exists(f: RationalTypeSeries, lam: complex, n: int) -> ConditionRecord:
     """|f_{ell+1+n}(lambda)| > (1/2) |lambda|^{ell+n+2} / (1 - |lambda|),
     equivalent to chain disk n having positive radius."""
-    return _disk_exists(f, _require_root(f, lam), n)
+    _require_level(n)
+    lam = _require_root(f, lam)
+    return _disk_exists(f, lam, _chain(f, lam, n + 1)[3], n)
 
 
-def _disk_exists(f: RationalTypeSeries, lam: complex, n: int) -> ConditionRecord:
+def _disk_exists(f: RationalTypeSeries, lam: complex, sums: list, n: int) -> ConditionRecord:
     ell = f.preperiod
-    lhs = abs(taylor_eval(f, lam, ell + 1 + n))
+    lhs = abs(sums[ell + 1 + n])
     rhs = 0.5 * ifs.nodal_radius(lam, ell + 1 + n)
     return record_inequality("i", n, lhs, rhs, flip=False)
 
@@ -234,23 +235,28 @@ def condition_consecutive_overlap(
 ) -> ConditionRecord:
     """|f_{ell+1+n}| + |f_{ell+2+n}| > |lambda|^{ell+n+2} / (1 - |lambda|),
     equivalent to chain disks n and n+1 intersecting."""
-    return _consecutive_overlap(f, _require_root(f, lam), n)
+    _require_level(n)
+    lam = _require_root(f, lam)
+    return _consecutive_overlap(f, lam, _chain(f, lam, n + 2)[3], n)
 
 
-def _consecutive_overlap(f: RationalTypeSeries, lam: complex, n: int) -> ConditionRecord:
+def _consecutive_overlap(f: RationalTypeSeries, lam: complex, sums: list, n: int) -> ConditionRecord:
     ell = f.preperiod
-    sums = _taylor_sums(f, lam, ell + 2 + n)
-    lhs = abs(sums[-2]) + abs(sums[-1])
+    lhs = abs(sums[ell + 1 + n]) + abs(sums[ell + 2 + n])
     rhs = ifs.nodal_radius(lam, ell + 1 + n)
     return record_inequality("ii", n, lhs, rhs, flip=False)
 
 
-def _separation_params(variant: str) -> tuple[int, tuple[int, ...], str]:
+def _separation_params(variant: str, n: int) -> tuple[int, tuple[int, ...], str]:
     if variant == "doubled":
-        return 2, (-2, -1, 0, 1, 2), "iii"
-    if variant == "single":
-        return 1, (-1, 0, 1), "iii'"
-    raise ValueError(f"variant must be 'doubled' or 'single', got {variant!r}")
+        params = 2, (-2, -1, 0, 1, 2), "iii"
+    elif variant == "single":
+        params = 1, (-1, 0, 1), "iii'"
+    else:
+        raise ValueError(f"variant must be 'doubled' or 'single', got {variant!r}")
+    if n > 12:
+        raise EnumerationTooLarge(f"{len(params[1])}^(n+1) enumeration refused for n={n} > 12")
+    return params
 
 
 @dataclass(frozen=True)
@@ -273,20 +279,15 @@ class _Separation:
         return record_inequality(self.which, self.n, self.lhs, rhs, flip=True, label=label)
 
 
-def _separation(
-    f: RationalTypeSeries, lam: complex, n: int, variant: str
-) -> _Separation:
-    if n > 12:
-        raise EnumerationTooLarge(f"5^(n+1) enumeration refused for n={n} > 12")
-    factor, values, which = _separation_params(variant)
+def _separation(f: RationalTypeSeries, lam: complex, sums: list, n: int, variant: str) -> _Separation:
+    factor, values, which = _separation_params(variant, n)
     ell = f.preperiod
-    sums = _taylor_sums(f, lam, ell + 1 + n)
     return _Separation(
         which=which,
         n=n,
         values=values,
         q=tuple(factor * coeff_at(f, ell + 1 + j) for j in range(n + 1)),
-        lhs=factor * abs(sums[-1]),
+        lhs=factor * abs(sums[ell + 1 + n]),
         base=factor * sums[ell],
         scale=lam ** (ell + 1),
         powers=tuple(lam**j for j in range(n + 1)),
@@ -306,11 +307,12 @@ def condition_instar_separation(
     Records come in itertools.product order of the coefficients; more than
     MAX_SEPARATION_RECORDS raise EnumerationTooLarge before any is built.
     """
+    _require_level(n)
     lam = _require_root(f, lam)
-    sep = _separation(f, lam, n, variant)
-    count = len(sep.values) ** (n + 1) - 1
+    count = len(_separation_params(variant, n)[1]) ** (n + 1) - 1
     if count > MAX_SEPARATION_RECORDS:
         raise EnumerationTooLarge(f"{count} records at n={n} exceed {MAX_SEPARATION_RECORDS}")
+    sep = _separation(f, lam, _chain(f, lam, n + 1)[3], n, variant)
     return [
         sep.record(coeffs)
         for coeffs in itertools.product(sep.values, repeat=n + 1)
@@ -328,7 +330,7 @@ def _word(index: int, values: tuple[int, ...], length: int) -> tuple[int, ...]:
 
 
 def _worst_separation(
-    f: RationalTypeSeries, lam: complex, n: int, variant: str
+    f: RationalTypeSeries, lam: complex, sums: list, n: int, variant: str
 ) -> ConditionRecord:
     """The record of condition_instar_separation with the smallest margin,
     the first in enumeration order among equal margins, without building
@@ -339,9 +341,10 @@ def _worst_separation(
     smallest score is rescored with the scalar expression.  The slack
     exceeds the rounding gap between the two evaluations, and the gap
     between right-hand sides whose margins round to the same value, by
-    orders of magnitude.
+    orders of magnitude.  The score arrays are allocated once per walk, as
+    in ``_instar_clearance``.
     """
-    sep = _separation(f, lam, n, variant)
+    sep = _separation(f, lam, sums, n, variant)
     k = len(sep.values)
     skip = 0
     for c in sep.q:
@@ -350,8 +353,12 @@ def _worst_separation(
     slack = 1e-9 * (sep.lhs + abs(sep.base) + abs(sep.scale) * reach)
     best, found, offset = math.inf, [], 0
     signs = np.array(sep.values, dtype=np.complex128)
+    work = scores = np.empty(0)
     for nodes in ifs._level_blocks(lam, n, signs):
-        scores = np.abs(sep.base + sep.scale * nodes)
+        if scores.size != nodes.size:
+            work, scores = np.empty_like(nodes), np.empty(nodes.size)
+        np.multiply(sep.scale, nodes, out=work)
+        np.abs(np.add(sep.base, work, out=work), out=scores)
         if offset <= skip < offset + scores.size:
             scores[skip - offset] = np.inf
         best = min(best, float(scores.min()))
@@ -388,17 +395,17 @@ def weakened_conditions(
         raise BadIndices(f"need 2 <= m <= p, got m={m}, p={p}")
     if ks != sorted(set(ks)) or ks[0] < 0 or ks[-1] > p - 1:
         raise BadIndices(f"indices must satisfy 0 <= k_1 < ... < k_m <= p-1, got {ks}")
-    sums = _taylor_sums(f, lam, ell + 1 + ks[-1])
+    sums = _chain(f, lam, ks[-1] + 1)[3]
     records = []
     for j, kj in enumerate(ks):
         kj1 = ks[(j + 1) % m]
         fj, fj1 = sums[ell + 1 + kj], sums[ell + 1 + kj1]
         label = f"j={j + 1},k={kj}"
-        records.append(replace(_disk_exists(f, lam, kj), which="w-i", label=label))
+        records.append(replace(_disk_exists(f, lam, sums, kj), which="w-i", label=label))
         lhs = abs(fj) + abs(fj1) - 0.5 * abs(fj - fj1)
         rhs = 0.5 * (ifs.nodal_radius(lam, ell + 1 + kj) + ifs.nodal_radius(lam, ell + 1 + kj1))
         records.append(record_inequality("w-ii", kj, lhs, rhs, flip=False, label=label))
-        worst = _worst_separation(f, lam, kj, "single")
+        worst = _worst_separation(f, lam, sums, kj, "single")
         records.append(replace(worst, which="w-iii", label=f"{label},{worst.label}"))
     return records
 
@@ -406,8 +413,9 @@ def weakened_conditions(
 def periodicity_residual(f: RationalTypeSeries, lam: complex, n: int) -> float:
     """|lambda^p (omega_n - center) - (omega_{n+p} - center)|: one period of
     the chain must be the lambda^p-scaled image of the previous one."""
+    _require_level(n)
     lam = _require_root(f, lam)
-    z, _, disks = _chain(f, lam, n + f.period + 1)
+    z, _, disks, _ = _chain(f, lam, n + f.period + 1)
     return _periodicity_residual(lam, f.period, z, disks[n], disks[n + f.period])
 
 
@@ -435,6 +443,7 @@ def parameter_probe(f: RationalTypeSeries, lam: complex, b: complex, n: int) -> 
     fall outside the locus for large n.  Probe outcomes are evidence only,
     never part of a verdict.
     """
+    _require_level(n)
     z = selfsim_center(f, lam)
     lam = complex(lam)
     fp = derivative_eval(f, lam)
@@ -493,7 +502,7 @@ def verify_chain(
     count = periods_checked * f.period
     if count > 14:
         raise LevelTooDeep(f"{count} chain levels exceed the guard of 14")
-    _, nodes, disks = _chain(f, lam, count + 1)
+    _, nodes, disks, _ = _chain(f, lam, count + 1)
     alphabet = ifs.TERNARY if target == "M" else ifs.BINARY
     signs = np.array(ifs._signs(alphabet), dtype=np.complex128)
     levels = []
@@ -560,7 +569,7 @@ def certify(f: RationalTypeSeries, lam: complex, target: str = "M") -> Certifica
             )
         # disks 0..3p-1: the two checked periods and the one the residuals
         # compare the second of them with
-        center, _, disks = _chain(f, lam, 3 * p)
+        center, _, disks, sums = _chain(f, lam, 3 * p)
         chain = tuple(disks[:2 * p + 1])
         residuals = tuple(
             _periodicity_residual(lam, p, center, disks[n], disks[n + p])
@@ -569,9 +578,9 @@ def certify(f: RationalTypeSeries, lam: complex, target: str = "M") -> Certifica
         variant = "doubled" if target == "M" else "single"
         conditions: list[ConditionRecord] = []
         for n in range(p):
-            conditions.append(_disk_exists(f, lam, n))
-            conditions.append(_consecutive_overlap(f, lam, n))
-            conditions.append(_worst_separation(f, lam, n, variant))
+            conditions.append(_disk_exists(f, lam, sums, n))
+            conditions.append(_consecutive_overlap(f, lam, sums, n))
+            conditions.append(_worst_separation(f, lam, sums, n, variant))
 
         near_band = False
         for rec in conditions:

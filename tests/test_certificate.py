@@ -27,11 +27,10 @@ from ifslab import (
     verify_chain,
     weakened_conditions,
 )
-from ifslab import certificate, ifs
+from ifslab import certificate, ifs, series
 from ifslab.certificate import (
     _instar_clearance,
     _worst_separation,
-    center_node,
     record_inequality,
 )
 from ifslab.ifs import BINARY, TERNARY, _level_blocks, _signs, level_nodes, nodal_radius
@@ -87,7 +86,7 @@ class TestChainDisk:
             center = selfsim_center(f, lam)
             for n in range(3 * f.period + 1):
                 disk = chain_disk(f, lam, n)
-                znode = center_node(f, lam, n)
+                znode = certificate._chain(f, lam, n + 1)[1][n]
                 assert abs(disk.center + znode - 2 * center) < 1e-12 * (
                     1 + abs(center)
                 )
@@ -99,7 +98,7 @@ class TestChainDisk:
                 disk = chain_disk(f, lam, n)
                 if disk.radius <= 0:
                     continue
-                gap = abs(disk.center - center_node(f, lam, n))
+                gap = abs(disk.center - certificate._chain(f, lam, n + 1)[1][n])
                 expected = disk.radius + nodal_radius(lam, n)
                 assert abs(gap - expected) < 1e-10 * (1 + expected)
 
@@ -192,6 +191,49 @@ class TestConditions:
     def test_bad_variant(self, roots, fixtures):
         with pytest.raises(ValueError):
             condition_instar_separation(fixtures[1].series, roots[1], 0, "tripled")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, lam: chain_disk(f, lam, -1),
+            lambda f, lam: condition_disk_exists(f, lam, -1),
+            lambda f, lam: condition_consecutive_overlap(f, lam, -1),
+            lambda f, lam: condition_instar_separation(f, lam, -1),
+            lambda f, lam: condition_instar_separation(f, lam, -1, "single"),
+            lambda f, lam: periodicity_residual(f, lam, -1),
+            lambda f, lam: parameter_probe(f, lam, 0.1, -3),
+        ],
+        ids=[
+            "chain_disk", "disk_exists", "consecutive_overlap", "separation_doubled",
+            "separation_single", "periodicity_residual", "parameter_probe",
+        ],
+    )
+    def test_negative_level_refused_before_any_table(
+        self, roots, fixtures, monkeypatch, call
+    ):
+        def summed(*args):
+            raise AssertionError("Taylor table built for a negative level")
+
+        monkeypatch.setattr(certificate, "_taylor_sums", summed)
+        with pytest.raises(ValueError, match="level index"):
+            call(fixtures[5].series, roots[5])
+
+    @pytest.mark.parametrize("variant, base", [("doubled", 5), ("single", 3)])
+    def test_enumeration_refusal_names_the_variant_base(
+        self, roots, fixtures, variant, base
+    ):
+        refused = rf"^{base}\^\(n\+1\) enumeration refused for n=13"
+        with pytest.raises(EnumerationTooLarge, match=refused):
+            condition_instar_separation(fixtures[1].series, roots[1], 13, variant)
+
+    def test_weakened_refusal_names_the_single_base(self):
+        # w-iii is the single form, so index 13 of a period-14 cycle is
+        # refused with the 3^(n+1) count
+        f = RationalTypeSeries.parse("1;1,1,-1,1,1,-1,-1,1,1,-1,1,-1,-1,1")
+        lam = newton_root(numerator_polynomial(f), -0.365 + 0.557j)
+        refused = r"^3\^\(n\+1\) enumeration refused for n=13"
+        with pytest.raises(EnumerationTooLarge, match=refused):
+            weakened_conditions(f, lam, range(14))
 
 
 class TestWeakenedConditions:
@@ -399,9 +441,10 @@ class TestStreamedCertificate:
                     condition_instar_separation(f, lam, n, variant),
                     key=lambda r: r.margin,
                 )
+                sums = certificate._chain(f, lam, n + 1)[3]
                 for block in self.BLOCKS:
                     monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
-                    worst = _worst_separation(f, lam, n, variant)
+                    worst = _worst_separation(f, lam, sums, n, variant)
                     assert worst == oracle, (f, lam, n, block)
                     assert worst.margin.hex() == oracle.margin.hex()
                     assert worst.rhs.hex() == oracle.rhs.hex()
@@ -415,7 +458,8 @@ class TestStreamedCertificate:
             for n in range(12):
                 nodes = np.concatenate([b.copy() for b in _level_blocks(lam, n, signs)])
                 assert nodes.tobytes() == level_nodes(lam, n, alphabet).tobytes()
-                disk, znode = chain_disk(f, lam, n), center_node(f, lam, n)
+                disk = chain_disk(f, lam, n)
+                znode = certificate._chain(f, lam, n + 1)[1][n]
                 got = _instar_clearance(lam, n, signs, disk, znode)
                 want = instar_clearance_full(
                     lam, n, alphabet, disk.center, disk.radius, znode
@@ -473,18 +517,71 @@ class TestOneExpression:
         certify(fixtures[5].series, roots[5], target=target)
         assert len(calls) == 1
 
+    @staticmethod
+    def _count_tables(monkeypatch):
+        # both bindings: the certificate's own, and the one series.taylor_eval
+        # would sum with
+        tables = []
+        build = series._taylor_sums
+
+        def counted(*args):
+            tables.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(certificate, "_taylor_sums", counted)
+        monkeypatch.setattr(series, "_taylor_sums", counted)
+        return tables
+
     @pytest.mark.parametrize("target", ["M", "M0"])
-    def test_verify_chain_reads_nodes_from_the_chain_table(
-        self, roots, fixtures, monkeypatch, target
-    ):
+    def test_certify_builds_two_tables_at_every_period(self, rng, monkeypatch, target):
+        cases = [random_rooted_series(rng, p) for p in range(1, 8)]
+        tables = self._count_tables(monkeypatch)
+        for f, lam in cases:
+            tables.clear()
+            certify(f, lam, target=target)
+            assert len(tables) == 2, (f, lam)
+
+    def test_weakened_conditions_builds_one_table(self, roots, fixtures, monkeypatch):
         f, lam = fixtures[5].series, roots[5]
-        want = verify_chain(f, lam, 2, target)
+        tables = self._count_tables(monkeypatch)
+        weakened_conditions(f, lam, range(f.period))
+        assert len(tables) == 1
 
-        def per_level(*args):
-            raise AssertionError("center node summed on its own")
+    @pytest.mark.parametrize("target", ["M", "M0"])
+    def test_verify_chain_builds_one_table(self, roots, fixtures, monkeypatch, target):
+        f, lam = fixtures[5].series, roots[5]
+        tables = self._count_tables(monkeypatch)
+        verify_chain(f, lam, 2, target)
+        assert len(tables) == 1
 
-        monkeypatch.setattr(certificate, "center_node", per_level)
-        assert verify_chain(f, lam, 2, target) == want
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, lam: selfsim_center(f, lam),
+            lambda f, lam: chain_disk(f, lam, 2),
+            lambda f, lam: condition_disk_exists(f, lam, 2),
+            lambda f, lam: condition_consecutive_overlap(f, lam, 2),
+            lambda f, lam: condition_instar_separation(f, lam, 2),
+            lambda f, lam: periodicity_residual(f, lam, 2),
+            lambda f, lam: parameter_probe(f, lam, 0.1, 2),
+        ],
+        ids=[
+            "selfsim_center", "chain_disk", "disk_exists", "consecutive_overlap",
+            "instar_separation", "periodicity_residual", "parameter_probe",
+        ],
+    )
+    def test_checked_entry_point_builds_one_table(self, roots, fixtures, monkeypatch, call):
+        calls = []
+        check = certificate._require_root
+
+        def counted(f, lam):
+            calls.append(lam)
+            return check(f, lam)
+
+        monkeypatch.setattr(certificate, "_require_root", counted)
+        tables = self._count_tables(monkeypatch)
+        call(fixtures[5].series, roots[5])
+        assert (len(calls), len(tables)) == (1, 1)
 
     @pytest.mark.parametrize("n, variant", [(7, "doubled"), (10, "single")])
     def test_separation_records_refused_before_any_is_built(
