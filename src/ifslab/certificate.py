@@ -17,10 +17,15 @@ disk exists (r_n > 0), consecutive disks overlap, and each disk clears the
 rest of the level-n instar, the chain is an open connected set in the
 attractor complement converging to the center; the asymptotic similarity of
 parameter space to the attractor then certifies that lambda is an accessible
-boundary point.  The three requirements are equivalent to strict polynomial
+boundary point.  The three requirements follow from strict polynomial
 inequalities on the Taylor truncations of f, which this module evaluates with
 explicit margins, alongside the direct disk geometry, so algebra and geometry
-can be cross-checked independently.
+can be cross-checked independently.  Condition (i) holds exactly when disk n
+exists.  Condition (ii) implies that disks n and n+1 intersect, and is implied
+by it when c_{ell+2+n} != 0; when c_{ell+2+n} = 0 the two disks are
+concentric.  Condition (iii) implies that disk n clears the ternary instar,
+and (iii') that it clears the binary one for a zero-free series; on series
+with zero coefficients the converses can fail.
 
 Each quantity has one expression.  A call builds one table of Taylor sums
 (``_chain``) and reads the center, its itinerary nodes, the chain disks and
@@ -31,11 +36,11 @@ Condition (iii) at level n is a minimum over 5^(n+1) polynomials (3^(n+1) in
 the single form (iii') used for M0), and all of them share one left-hand
 side, so the smallest margin alone decides the level.  ``certify`` therefore
 keeps one (iii)/(iii') record per n: the worst polynomial, labelled
-``P=...``, found by streaming the polynomials in bounded blocks;
+``P=...``, found by a pruned walk in the record's arithmetic;
 ``failure_reasons`` lists one line per failing n.
 ``condition_instar_separation`` still returns every record, up to
 MAX_SEPARATION_RECORDS.  The instar clearance of ``verify_chain`` streams the
-level-n nodes the same way, so memory stays flat as the period grows.
+level-n nodes in bounded blocks, so memory stays flat as the period grows.
 """
 
 from __future__ import annotations
@@ -234,7 +239,8 @@ def condition_consecutive_overlap(
     f: RationalTypeSeries, lam: complex, n: int
 ) -> ConditionRecord:
     """|f_{ell+1+n}| + |f_{ell+2+n}| > |lambda|^{ell+n+2} / (1 - |lambda|),
-    equivalent to chain disks n and n+1 intersecting."""
+    which implies that chain disks n and n+1 intersect; the converse holds
+    when c_{ell+2+n} != 0 (otherwise the two disks are concentric)."""
     _require_level(n)
     lam = _require_root(f, lam)
     return _consecutive_overlap(f, lam, _chain(f, lam, n + 2)[3], n)
@@ -272,11 +278,17 @@ class _Separation:
     scale: complex
     powers: tuple[complex, ...]
 
+    def rhs(self, pval: complex) -> float:
+        return abs(self.base + self.scale * pval)
+
     def record(self, coeffs: tuple[int, ...]) -> ConditionRecord:
-        pval = sum(c * w for c, w in zip(coeffs, self.powers))
-        rhs = abs(self.base + self.scale * pval)
+        # left to right from 0, as _worst_separation walks: not sum(), whose
+        # algorithm is CPython's to change
+        pval = 0
+        for c, w in zip(coeffs, self.powers):
+            pval = pval + c * w
         label = "P=" + ",".join(str(c) for c in coeffs)
-        return record_inequality(self.which, self.n, self.lhs, rhs, flip=True, label=label)
+        return record_inequality(self.which, self.n, self.lhs, self.rhs(pval), flip=True, label=label)
 
 
 def _separation(f: RationalTypeSeries, lam: complex, sums: list, n: int, variant: str) -> _Separation:
@@ -297,7 +309,9 @@ def _separation(f: RationalTypeSeries, lam: complex, sums: list, n: int, variant
 def condition_instar_separation(
     f: RationalTypeSeries, lam: complex, n: int, variant: str = "doubled"
 ) -> list[ConditionRecord]:
-    """Chain disk n clears every non-tangent instar disk at level n.
+    """A check that implies chain disk n clears every non-tangent instar
+    disk at level n: the ternary ones in the doubled form, and the binary
+    ones in the single form when f has no zero coefficients.
 
     In the doubled form the check is 2|f_{ell+1+n}| < |2 f_ell + lambda^{ell+1} P|
     over all polynomials P of degree <= n with coefficients in {-2..+2}; the
@@ -320,15 +334,6 @@ def condition_instar_separation(
     ]
 
 
-def _word(index: int, values: tuple[int, ...], length: int) -> tuple[int, ...]:
-    """The index-th word of itertools.product(values, repeat=length)."""
-    letters = []
-    for _ in range(length):
-        index, digit = divmod(index, len(values))
-        letters.append(values[digit])
-    return tuple(reversed(letters))
-
-
 def _worst_separation(
     f: RationalTypeSeries, lam: complex, sums: list, n: int, variant: str
 ) -> ConditionRecord:
@@ -336,41 +341,42 @@ def _worst_separation(
     the first in enumeration order among equal margins, without building
     the others.
 
-    The walker's nodes and numpy's arithmetic only approximate the scalar
-    right-hand sides, so every polynomial scoring within ``slack`` of the
-    smallest score is rescored with the scalar expression.  The slack
-    exceeds the rounding gap between the two evaluations, and the gap
-    between right-hand sides whose margins round to the same value, by
-    orders of magnitude.  The score arrays are allocated once per walk, as
-    in ``_instar_clearance``.
+    A depth-first walk chooses the coefficients of P one at a time and sums
+    P(lambda) as ``_Separation.record`` does, so each leaf has its record's
+    bits.  The digits k..n still to choose move the right-hand side by at
+    most |scale| max(values) sum_{j>=k} |lambda^j|, so a prefix whose margin
+    less that reach exceeds the best leaf's by more than ``slack`` is
+    dropped.  The slack covers the rounding of this bound: it decides which
+    subtrees are visited, never which record is returned.
     """
     sep = _separation(f, lam, sums, n, variant)
-    k = len(sep.values)
-    skip = 0
-    for c in sep.q:
-        skip = skip * k + sep.values.index(c)
-    reach = max(sep.values) * sum(abs(w) for w in sep.powers)
-    slack = 1e-9 * (sep.lhs + abs(sep.base) + abs(sep.scale) * reach)
-    best, found, offset = math.inf, [], 0
-    signs = np.array(sep.values, dtype=np.complex128)
-    work = scores = np.empty(0)
-    for nodes in ifs._level_blocks(lam, n, signs):
-        if scores.size != nodes.size:
-            work, scores = np.empty_like(nodes), np.empty(nodes.size)
-        np.multiply(sep.scale, nodes, out=work)
-        np.abs(np.add(sep.base, work, out=work), out=scores)
-        if offset <= skip < offset + scores.size:
-            scores[skip - offset] = np.inf
-        best = min(best, float(scores.min()))
-        near = np.flatnonzero(scores <= best + slack)
-        found.extend(zip(scores[near].tolist(), (near + offset).tolist()))
-        offset += scores.size
-    records = [
-        sep.record(_word(index, sep.values, n + 1))
-        for score, index in found
-        if score <= best + slack
-    ]
-    return min(records, key=lambda r: r.margin)
+    # offsets[k] = lhs + |scale| max(values) sum_{j>=k} |lambda^j|; at a leaf
+    # it is lhs itself, so the leaf's bound is its record's margin
+    offsets = [sep.lhs]
+    for w in reversed(sep.powers):
+        offsets.append(offsets[-1] + abs(sep.scale) * max(sep.values) * abs(w))
+    offsets.reverse()
+    slack = 1e-9 * (offsets[0] + abs(sep.base))
+    best = (math.inf, ())
+    stack = [(-math.inf, (), 0)]
+    while stack:
+        bound, coeffs, pval = stack.pop()
+        cut = best[0] + slack
+        if bound > cut:
+            continue
+        k = len(coeffs)
+        if k > n:
+            if coeffs != sep.q:
+                best = min(best, (bound, coeffs))
+            continue
+        children = []
+        for c in sep.values:
+            child = pval + c * sep.powers[k]
+            bound = sep.rhs(child) - offsets[k + 1]
+            if bound <= cut:
+                children.append((bound, coeffs + (c,), child))
+        stack.extend(sorted(children, reverse=True))
+    return sep.record(best[1])
 
 
 def weakened_conditions(

@@ -14,11 +14,13 @@ W/(x1 - x0), H/(y1 - y0) must be finite too.  ``--set`` takes m or m0 (any
 case) and ``attractor --overlay`` none, instar or chain.  ``render --depth``
 takes 1..MAX_DEPTH, ``attractor --periods`` 1..MAX_PERIODS, and an overlay
 circle may take at most MAX_CIRCLE_SAMPLES samples.  Every one of these
-rules, and the level guards of ``attractor`` and ``certify``, is checked
-before the command walks its first level, so a refused command does no work.
+rules, the level guards of ``attractor`` and ``certify``, and the output
+paths of ``--out`` and ``--report`` (an existing, writable directory, and not
+a directory itself) is checked before the command walks its first level, so
+a refused command does no work.
 
 Exit codes: 0 success, 1 expectation failure, 2 usage/parse error, 3 numeric
-failure.  Images are binary PPM (P6) and byte-identical for identical inputs.
+failure or an unwritable output ("io error").  Images are binary PPM (P6) and byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import datetime
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 
@@ -121,6 +124,19 @@ def _parse_frame(
 def _parse_complex(text: str, what: str) -> complex:
     re, im = _parse_csv(text, 2, what)
     return complex(re, im)
+
+
+def _check_outputs(*paths: str | None) -> None:
+    """OSError unless each given path can be written: its directory exists
+    and is writable, and the path is not a directory itself."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path {path!r} is a directory")
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"no directory {folder!r} for output {path!r}")
+        if not os.access(folder, os.W_OK):
+            raise PermissionError(f"directory {folder!r} of output {path!r} is not writable")
 
 
 def write_ppm(path: str, rgb: np.ndarray) -> None:
@@ -430,6 +446,7 @@ def main(argv=None) -> int:
             window, w, h = _parse_frame(args.window, args.px)
             if not 1 <= args.depth <= MAX_DEPTH:
                 raise ParseError(f"--depth must be 1..{MAX_DEPTH}, got {args.depth}")
+            _check_outputs(args.out, args.report)
             return cmd_render(
                 window, w, h, args.depth, SETS[args.set], args.out, argv, args.report
             )
@@ -443,6 +460,7 @@ def main(argv=None) -> int:
             if not 1 <= args.periods <= MAX_PERIODS:
                 raise ParseError(f"--periods must be 1..{MAX_PERIODS}, got {args.periods}")
             alphabet = ifs.TERNARY if args.set == "m" else ifs.BINARY
+            _check_outputs(args.out)
             if series is None:
                 lam = paramspace._check_lambda(seed)
             else:
@@ -456,12 +474,14 @@ def main(argv=None) -> int:
         if args.command == "certify":
             series = RationalTypeSeries.parse(args.series)
             seed = _parse_complex(args.seed, "--seed")
+            _check_outputs(args.out)
             return cmd_certify(series, seed, SETS[args.set], args.out, argv)
 
         if args.command == "landmarks":
             if args.id is not None and args.id not in range(1, 7):
                 raise ParseError(f"--id must be 1..6, got {args.id}")
             ids = None if args.id is None else [args.id]
+            _check_outputs(args.out)
             return cmd_landmarks(ids, args.out, argv)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,12 +29,13 @@ from ifslab import (
 )
 from ifslab import certificate, ifs, series
 from ifslab.certificate import (
+    _band,
     _instar_clearance,
     _worst_separation,
     record_inequality,
 )
 from ifslab.ifs import BINARY, TERNARY, _level_blocks, _signs, level_nodes, nodal_radius
-from ifslab.series import derivative_eval, taylor_eval
+from ifslab.series import coeff_at, derivative_eval, taylor_eval
 
 from conftest import random_rooted_series
 from oracles import chain_disk_taylor, instar_clearance_full
@@ -414,40 +415,77 @@ class TestEquivalence:
                 )
                 assert algebra_ok == geo.levels[n].disjoint, (i, n)
 
+    def test_each_condition_implies_its_geometry_on_seeded_series(self, rng):
+        """(i) <=> chain disk n exists; (ii) => disks n and n+1 intersect,
+        and the converse holds when c_{ell+2+n} != 0 (when it is 0 the two
+        disks are concentric); (iii) => disk n clears the ternary instar,
+        and (iii') => it clears the binary one on zero-free series.  Levels
+        with an algebraic margin inside the decision band are left out."""
+        checked = 0
+        for target, which in (("M", "iii"), ("M0", "iii'")):
+            for p in range(1, 6):
+                for _ in range(12):
+                    f, lam = random_rooted_series(rng, p)
+                    while target == "M0" and f.zero_positions:
+                        f, lam = random_rooted_series(rng, p)
+                    report = certify(f, lam, target)
+                    records = {(r.which, r.n): r for r in report.conditions}
+                    for n, level in enumerate(report.geometry.levels[:p]):
+                        i, ii, iii = (records[w, n] for w in ("i", "ii", which))
+                        if any(abs(r.margin) <= _band(r.lhs, r.rhs) for r in (i, ii, iii)):
+                            continue
+                        case = (f, lam, target, n)
+                        assert i.passed == level.exists, case
+                        assert level.connects_next or not ii.passed, case
+                        if coeff_at(f, f.preperiod + 2 + n) != 0:
+                            assert ii.passed == level.connects_next, case
+                        assert level.disjoint or not iii.passed, case
+                        checked += 1
+        assert checked >= 300
+
 
 @pytest.mark.filterwarnings("ignore::ifslab.HypothesisViolated")
 class TestStreamedCertificate:
-    """The block-streamed (iii) search and instar clearance against the
-    exhaustive enumerations, at the default block size and at a small one
-    whose blocks end inside the prefix runs."""
+    """The pruned (iii) walk and the block-streamed instar clearance against
+    the exhaustive enumerations; the clearance at the default block size and
+    at a small one whose blocks end inside the prefix runs."""
 
     BLOCKS = (ifs._BLOCK_NODES, 20)
 
     @pytest.mark.parametrize("variant", ["doubled", "single"])
     def test_worst_separation_is_the_enumeration_minimum(self, rng, monkeypatch, variant):
-        # at these roots several polynomials tie for the smallest margin at
-        # n=3: at both in the doubled form, at the second in the single form
+        # at the first two roots several polynomials tie for the smallest
+        # margin at n=3: at both in the doubled form, at the second in the
+        # single form; the third has |lambda| > 0.9, where the walk's bound
+        # prunes least.  Every level the certificate reaches is checked, and
+        # the single form as deep as its enumeration oracle stays quick.
         cases = [
             (f, newton_root(numerator_polynomial(f), seed))
             for f, seed in (
                 (RationalTypeSeries.parse("1;-1,0"), 0.62 + 0j),
                 (RationalTypeSeries.parse("1,0,0;1,1,-1"), -0.66 + 0.56j),
+                (RationalTypeSeries.parse("1;1,-1,1,1,-1"), 0.383 + 0.833j),
             )
         ]
         cases += [random_rooted_series(rng, period) for period in (2, 5)]
+
+        # the walk evaluates every polynomial in its record's arithmetic, so
+        # it needs neither the level's node blocks nor numpy's abs
+        def walked(*args):
+            raise AssertionError("condition (iii) walked the node blocks")
+
+        monkeypatch.setattr(ifs, "_level_blocks", walked)
         for f, lam in cases:
-            for n in range(7):
+            for n in range(7 if variant == "doubled" else 9):
                 oracle = min(
                     condition_instar_separation(f, lam, n, variant),
                     key=lambda r: r.margin,
                 )
                 sums = certificate._chain(f, lam, n + 1)[3]
-                for block in self.BLOCKS:
-                    monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
-                    worst = _worst_separation(f, lam, sums, n, variant)
-                    assert worst == oracle, (f, lam, n, block)
-                    assert worst.margin.hex() == oracle.margin.hex()
-                    assert worst.rhs.hex() == oracle.rhs.hex()
+                worst = _worst_separation(f, lam, sums, n, variant)
+                assert worst == oracle, (f, lam, n)
+                assert worst.margin.hex() == oracle.margin.hex()
+                assert worst.rhs.hex() == oracle.rhs.hex()
 
     @pytest.mark.parametrize("alphabet", [TERNARY, BINARY])
     def test_block_clearance_equals_full_level(self, rng, monkeypatch, alphabet):

@@ -143,6 +143,25 @@ class TestRender:
         assert read_ppm(out).shape == (1, 1, 3)
 
 
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    @pytest.mark.parametrize("where", ["missing-dir", "dir"])
+    def test_unwritable_output_refused_before_search(
+        self, tmp_path, monkeypatch, capsys, flag, where
+    ):
+        def searched(*a, **k):
+            raise AssertionError("a pixel was searched for an unwritable output")
+
+        monkeypatch.setattr(cli.paramspace, "escape_grid", searched)
+        bad = tmp_path / "missing" / "x" if where == "missing-dir" else tmp_path
+        paths = {"--out": tmp_path / "x.ppm", "--report": tmp_path / "x.json", flag: bad}
+        assert main([
+            "render", "--window", "0,0,1,1", "--px", "4,4", "--depth", "3",
+            "--out", str(paths["--out"]), "--report", str(paths["--report"]),
+        ]) == 3
+        assert "io error" in capsys.readouterr().err
+        assert not any(p.is_file() for p in paths.values())
+
+
 class TestAttractor:
     def test_rectangle_attractor_span(self, tmp_path):
         out = tmp_path / "rect.ppm"
@@ -519,6 +538,21 @@ class TestCertify:
         ])
         assert code == 3
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("where", ["missing-dir", "dir"])
+    def test_unwritable_output_refused_before_certify(
+        self, tmp_path, monkeypatch, capsys, where
+    ):
+        def certified(*a, **k):
+            raise AssertionError("certified for an unwritable output")
+
+        monkeypatch.setattr(cli.certificate, "certify", certified)
+        bad = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+        assert main([
+            "certify", "--series", "1;1,1,-1", "--seed=-0.37,0.52", "--out", str(bad),
+        ]) == 3
+        assert "io error" in capsys.readouterr().err
 
 
 class TestLandmarksCommand:

@@ -1,0 +1,78 @@
+"""Golden render and attractor bytes: the exact images the command line writes.
+
+``tests/data/ppm_golden.json`` holds, for each case below, the sha256 of the
+PPM that ``ifslab.cli.main`` writes and, for ``render``, the sha256 of the
+report payload without its ``output`` path (the one field that names where
+the run wrote).  The cases are the README window (200x101, depth 40) and the
+acceptance window (128x128, depth 25) on M and M0, the rectangle attractor
+at lambda = i/sqrt(2), and landmark 5 with its level-6 instar and its chain
+overlays.  The file was generated at commit 57315f1, before condition (iii)
+became a pruned walk, with
+
+    PYTHONPATH=src python tests/test_ppm_golden.py
+
+which rewrites it from the code in the tree.  A change that moves a pixel or
+a report field of these cases fails here, so refactors of the membership
+search, the node enumeration or the raster need no hand-made comparison
+against their parent.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+from ifslab.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "ppm_golden.json"
+
+_LANDMARK5 = ["--seed=-0.366,0.520", "--series", "1;1,1,-1", "--set", "m",
+              "--depth", "10", "--px", "300,300"]
+
+CASES = {
+    "render/readme/m": ["render", "--window=0.40,-0.05,0.60,0.05", "--px", "200,101",
+                        "--depth", "40", "--set", "m"],
+    "render/readme/m0": ["render", "--window=0.40,-0.05,0.60,0.05", "--px", "200,101",
+                         "--depth", "40", "--set", "m0"],
+    "render/accept/m": ["render", "--window=0.0,0.0,0.708,0.708", "--px", "128,128",
+                        "--depth", "25", "--set", "m"],
+    "render/accept/m0": ["render", "--window=0.0,0.0,0.708,0.708", "--px", "128,128",
+                         "--depth", "25", "--set", "m0"],
+    "attractor/rectangle": ["attractor", "--seed", "0.0,0.7071067811865475", "--set", "m0",
+                            "--depth", "16", "--px", "400,300",
+                            "--window=-2.2,-1.6,2.2,1.6"],
+    "attractor/landmark5/instar": ["attractor", *_LANDMARK5, "--overlay", "instar",
+                                   "--level", "6"],
+    "attractor/landmark5/chain": ["attractor", *_LANDMARK5, "--overlay", "chain"],
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def golden_digests() -> dict:
+    """Each case's digests, from one run of the command line."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        out, report = Path(tmp, "out.ppm"), Path(tmp, "report.json")
+        for name, argv in CASES.items():
+            extra = ["--out", str(out)]
+            if argv[0] == "render":
+                extra += ["--report", str(report)]
+            assert main(argv + extra) == 0, name
+            digests[name] = {"ppm": _sha256(out.read_bytes())}
+            if argv[0] == "render":
+                payload = json.loads(report.read_text())["payload"]
+                del payload["output"]
+                digests[name]["report"] = _sha256(json.dumps(payload).encode())
+    return digests
+
+
+def test_images_match_the_golden_file():
+    assert golden_digests() == json.loads(GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden_digests(), indent=1) + "\n")
