@@ -460,10 +460,11 @@ def parameter_probe(f: RationalTypeSeries, lam: complex, b: complex, n: int) -> 
 
 
 def _instar_clearance(
-    lam: complex, n: int, signs: np.ndarray, disk: ChainDisk, znode: complex
+    lam: complex, n: int, alphabet: str, disk: ChainDisk, znode: complex
 ) -> float:
-    """Smallest gap between ``disk`` and the level-n instar disks, leaving
-    out the tangent one: nodes within 1e-9 (1 + |znode|) of ``znode``.
+    """Smallest gap between ``disk`` and the level-n instar disks over
+    ``alphabet``, leaving out the tangent one: nodes within 1e-9 (1 + |znode|)
+    of ``znode``.
 
     Each block gives one array of node distances, the left-out nodes set to
     inf; the radii are subtracted once from the smallest distance, which has
@@ -473,7 +474,7 @@ def _instar_clearance(
     tol = 1e-9 * (1.0 + abs(znode))
     best = math.inf
     diff = gap = near = np.empty(0)
-    for nodes in ifs._level_blocks(lam, n, signs):
+    for nodes in ifs.level_blocks(lam, n, alphabet):
         if gap.size != nodes.size:
             diff, gap, near = np.empty_like(nodes), np.empty(nodes.size), np.empty(nodes.size, bool)
         np.less_equal(np.abs(np.subtract(nodes, znode, out=diff), out=gap), tol, out=near)
@@ -510,13 +511,12 @@ def verify_chain(
         raise LevelTooDeep(f"{count} chain levels exceed the guard of 14")
     _, nodes, disks, _ = _chain(f, lam, count + 1)
     alphabet = ifs.TERNARY if target == "M" else ifs.BINARY
-    signs = np.array(ifs._signs(alphabet), dtype=np.complex128)
     levels = []
     for n in range(count):
         dn, dn1 = disks[n], disks[n + 1]
         gap = abs(dn.center - dn1.center)
         connect_margin = dn.radius + dn1.radius - gap
-        disjoint_margin = _instar_clearance(lam, n, signs, dn, nodes[n])
+        disjoint_margin = _instar_clearance(lam, n, alphabet, dn, nodes[n])
         if n == 0:
             contained, residual = None, None
         else:

@@ -43,7 +43,7 @@ class NotARoot(IfsLabError):
 
 
 class UnknownLandmark(IfsLabError):
-    """Landmark id outside 1..6."""
+    """Landmark id that names no landmark fixture."""
 
 
 class ParseError(IfsLabError):

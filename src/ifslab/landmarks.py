@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .certificate import (
+    VERDICT_ACCESSIBLE_M,
     ConditionRecord,
     _require_root,
     certify,
@@ -69,9 +70,9 @@ _FIXTURES = {
 
 
 def landmark(i: int) -> Landmark:
-    """Fixture data for landmark i in 1..6."""
+    """Fixture data for landmark i, a key of ``_FIXTURES``."""
     if i not in _FIXTURES:
-        raise UnknownLandmark(f"landmark id must be 1..6, got {i}")
+        raise UnknownLandmark(f"landmark id must be one of {tuple(_FIXTURES)}, got {i}")
     text, seed, in_sector, accessible, shared = _FIXTURES[i]
     return Landmark(
         id=i,
@@ -185,12 +186,12 @@ def evaluate_landmark(i: int) -> LandmarkOutcome:
     if lm.in_sector and not all(r.passed for r in records):
         ok = False
         notes.append("a sector inequality fails inside S")
-    if lm.accessible_M is True and report.verdict != "accessible_M":
+    if lm.accessible_M is True and report.verdict != VERDICT_ACCESSIBLE_M:
         ok = False
-        notes.append(f"verdict {report.verdict}, expected accessible_M")
-    if lm.accessible_M is None and report.verdict == "accessible_M":
+        notes.append(f"verdict {report.verdict}, expected {VERDICT_ACCESSIBLE_M}")
+    if lm.accessible_M is None and report.verdict == VERDICT_ACCESSIBLE_M:
         ok = False
-        notes.append("verdict accessible_M for the undecided landmark")
+        notes.append(f"verdict {VERDICT_ACCESSIBLE_M} for the undecided landmark")
     if report.shared_boundary != lm.shared_boundary_expected:
         ok = False
         notes.append(
@@ -223,6 +224,4 @@ def evaluate_landmark(i: int) -> LandmarkOutcome:
 
 def run_suite(ids=None) -> list[LandmarkOutcome]:
     """Evaluate all (or selected) landmarks; callers decide how to render."""
-    if ids is None:
-        ids = range(1, 7)
-    return [evaluate_landmark(i) for i in ids]
+    return [evaluate_landmark(i) for i in (_FIXTURES if ids is None else ids)]

@@ -34,7 +34,7 @@ from ifslab.certificate import (
     _worst_separation,
     record_inequality,
 )
-from ifslab.ifs import BINARY, TERNARY, _level_blocks, _signs, level_nodes, nodal_radius
+from ifslab.ifs import BINARY, TERNARY, level_blocks, level_nodes, nodal_radius
 from ifslab.series import coeff_at, derivative_eval, taylor_eval
 
 from conftest import random_rooted_series
@@ -490,15 +490,14 @@ class TestStreamedCertificate:
     @pytest.mark.parametrize("alphabet", [TERNARY, BINARY])
     def test_block_clearance_equals_full_level(self, rng, monkeypatch, alphabet):
         f, lam = random_rooted_series(rng, 3)
-        signs = np.array(_signs(alphabet), dtype=np.complex128)
         for block in self.BLOCKS:
             monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
             for n in range(12):
-                nodes = np.concatenate([b.copy() for b in _level_blocks(lam, n, signs)])
+                nodes = np.concatenate([b.copy() for b in level_blocks(lam, n, alphabet)])
                 assert nodes.tobytes() == level_nodes(lam, n, alphabet).tobytes()
                 disk = chain_disk(f, lam, n)
                 znode = certificate._chain(f, lam, n + 1)[1][n]
-                got = _instar_clearance(lam, n, signs, disk, znode)
+                got = _instar_clearance(lam, n, alphabet, disk, znode)
                 want = instar_clearance_full(
                     lam, n, alphabet, disk.center, disk.radius, znode
                 )

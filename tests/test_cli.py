@@ -161,6 +161,43 @@ class TestRender:
         assert "io error" in capsys.readouterr().err
         assert not any(p.is_file() for p in paths.values())
 
+    @staticmethod
+    def _no_search(monkeypatch):
+        def searched(*a, **k):
+            raise AssertionError("a pixel was searched for a refused output")
+
+        monkeypatch.setattr(cli.paramspace, "_search", searched)
+
+    @pytest.mark.parametrize("report", ["x.ppm", "./x.ppm", "sub/../x.ppm"])
+    def test_out_and_report_naming_one_file_refused_before_search(
+        self, tmp_path, monkeypatch, capsys, report
+    ):
+        # the report would overwrite the image whose sha256 it records
+        self._no_search(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main([
+            "render", "--window", "0,0,1,1", "--px", "4,4", "--depth", "3",
+            "--out", "x.ppm", "--report", report,
+        ]) == 2
+        assert "name one file" in capsys.readouterr().err
+        assert not (tmp_path / "x.ppm").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_output_folder_is_resolved_as_the_os_does(
+        self, tmp_path, monkeypatch, capsys, flag
+    ):
+        # missing/.. is no directory to the OS, though abspath drops it
+        self._no_search(monkeypatch)
+        paths = {"--out": tmp_path / "x.ppm", "--report": tmp_path / "x.json",
+                 flag: tmp_path / "missing" / ".." / "y"}
+        assert main([
+            "render", "--window", "0,0,1,1", "--px", "4,4", "--depth", "3",
+            "--out", str(paths["--out"]), "--report", str(paths["--report"]),
+        ]) == 3
+        assert "io error" in capsys.readouterr().err
+        assert not any(p.exists() for p in (tmp_path / "x.ppm", tmp_path / "x.json"))
+
 
 class TestAttractor:
     def test_rectangle_attractor_span(self, tmp_path):
@@ -347,7 +384,7 @@ class TestAttractor:
         out = tmp_path / "x.ppm"
         with pytest.raises(ParseError, match="root"):
             cmd_attractor(0.6 + 0.25j, 14, "ternary", None, 50, 50, str(out),
-                          overlay="chain", series=RationalTypeSeries.parse("1,-1,-1;1"))
+                          "chain", 3, RationalTypeSeries.parse("1,-1,-1;1"), 2)
         assert not out.exists()
 
 
@@ -553,6 +590,22 @@ class TestCertify:
             "certify", "--series", "1;1,1,-1", "--seed=-0.37,0.52", "--out", str(bad),
         ]) == 3
         assert "io error" in capsys.readouterr().err
+
+    def test_stdout_report_is_the_out_report(self, tmp_path, capsys):
+        # the same envelope in the same layout, command echo and timestamp aside
+        argv = ["certify", "--series", "1;1,1,-1", "--seed=-0.37,0.52", "--set", "m0"]
+        out = tmp_path / "cert.json"
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main(argv + ["--out", str(out)]) == 0
+        written = out.read_text(encoding="ascii")
+        docs = [json.loads(text) for text in (printed, written)]
+        for text, doc in zip((printed, written), docs):
+            assert text == json.dumps(doc, indent=2) + "\n"
+        assert [doc["command"] for doc in docs] == [argv, argv + ["--out", str(out)]]
+        for doc in docs:
+            del doc["command"], doc["timestamp"]
+        assert json.dumps(docs[0]) == json.dumps(docs[1])
 
 
 class TestLandmarksCommand:
