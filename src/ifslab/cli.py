@@ -127,13 +127,23 @@ def _parse_complex(text: str, what: str) -> complex:
     return complex(re, im)
 
 
+def _file_key(path: str):
+    """(device, inode) of an existing file, else the resolved path."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return stat.st_dev, stat.st_ino
+
+
 def _check_outputs(*paths: str | None) -> None:
     """OSError unless each given path can be written: its directory, as the
     OS resolves it (``missing/..`` is no directory), exists and is writable,
     and the path is not a directory itself.  ParseError when two paths name
-    one file, which the second write would overwrite."""
+    one file, which the second write would overwrite: one resolved path, or
+    for existing files one (device, inode) pair, which hard links share."""
     paths = list(filter(None, paths))
-    if len({os.path.realpath(path) for path in paths}) < len(paths):
+    if len({_file_key(path) for path in paths}) < len(paths):
         raise ParseError(f"output paths {paths!r} name one file")
     for path in paths:
         folder = os.path.dirname(path) or os.curdir
@@ -216,13 +226,49 @@ def cmd_render(
 def _paint(rgb: np.ndarray, pixels, color) -> None:
     """Paint ``color`` on every pixel that a (cols, rows) pair of ``pixels``
     names.  The pairs hold floored float indices; those outside the image
-    are dropped.  Hits are marked in one mask and painted once."""
+    are dropped.  Hits are marked in one mask and painted once.
+
+    A pair whose smallest and largest indices all lie in the image (no NaN,
+    which fails every comparison) needs no mask: its flat indices
+    rows * W + cols are formed in ``rows`` itself, exactly, since they are
+    integers below W * H <= MAX_PIXELS, and cast once.  So ``rows`` may be
+    overwritten.  The colour is copied where the mask is set, with no array
+    of the hit pixels' indices."""
     height, width, _ = rgb.shape
     hit = np.zeros(height * width, dtype=bool)
     for cols, rows in pixels:
-        keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
-        hit[rows[keep].astype(np.intp) * width + cols[keep].astype(np.intp)] = True
-    rgb.reshape(-1, 3)[hit] = color
+        if (cols.min() >= 0 and cols.max() < width
+                and rows.min() >= 0 and rows.max() < height):
+            rows *= width
+            rows += cols
+            hit[rows.astype(np.intp)] = True
+        else:
+            keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
+            hit[rows[keep].astype(np.intp) * width + cols[keep].astype(np.intp)] = True
+    np.copyto(rgb.reshape(-1, 3), np.array(color, dtype=np.uint8), where=hit[:, None])
+
+
+def _point_pixels(blocks, window, width: int, height: int):
+    """The (cols, rows) pairs for ``_paint`` of the points of each block:
+    floor((x - x0) * W / (x1 - x0)) and floor((y1 - y) * H / (y1 - y0)),
+    operation by operation in that order, in two buffers that every block
+    reuses, so a pair is valid until the next one is drawn.
+
+    The buffers hold ``ifs._BLOCK_NODES`` points, the largest block, and
+    are freed when the last pair has been painted."""
+    x0, y0, x1, y1 = window
+    buffers = np.empty((2, ifs._BLOCK_NODES))
+    for samples in blocks:
+        cols, rows = buffers[:, :samples.size]
+        np.subtract(samples.real, x0, out=cols)
+        cols *= width
+        cols /= x1 - x0
+        np.floor(cols, out=cols)
+        np.subtract(y1, samples.imag, out=rows)
+        rows *= height
+        rows /= y1 - y0
+        np.floor(rows, out=rows)
+        yield cols, rows
 
 
 def _circle_steps(radius: float, window, width: int, height: int) -> int:
@@ -310,13 +356,8 @@ def cmd_attractor(
         lam, alphabet, window, width, height, overlay, overlay_level, series, periods
     )
     blocks = ifs.level_blocks(lam, depth, alphabet)
-    x0, y0, x1, y1 = window
     rgb = np.full((height, width, 3), 255, dtype=np.uint8)
-    _paint(rgb, (
-        (np.floor((samples.real - x0) * width / (x1 - x0)),
-         np.floor((y1 - samples.imag) * height / (y1 - y0)))
-        for samples in blocks
-    ), (0, 0, 0))
+    _paint(rgb, _point_pixels(blocks, window, width, height), (0, 0, 0))
     if circles:
         _paint(rgb, (
             pixels for centers, radius, steps in circles

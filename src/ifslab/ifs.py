@@ -88,13 +88,23 @@ def _grow_nodes(
     returned with them.  Every node of a level is built by this one fold, so
     growing a block of prefixes gives the bits of growing the whole level.
     With ``scratch``, a pair of arrays large enough for the last level, the
-    grown levels alternate between the two instead of new arrays."""
+    grown levels alternate between the two instead of new arrays.
+
+    A level is the (prefix, letter) grid of the sums node + letter * power,
+    filled one letter's column at a time: each column is one pass over the
+    prefix array, where a broadcast over the grid would run an inner loop
+    only as long as the alphabet.  Both add the same operands, so the bits
+    are the same.  Node i of the grown level is prefix i // size(signs) plus
+    letter i % size(signs), so the order is lexicographic."""
     nodes = start
     for i in range(level):
         power *= lam
+        steps = signs * power
         size = nodes.size * signs.size
         out = np.empty(size, np.complex128) if scratch is None else scratch[i % 2][:size]
-        np.add(nodes[:, None], signs[None, :] * power, out=out.reshape(nodes.size, -1))
+        grid = out.reshape(nodes.size, signs.size)
+        for j, step in enumerate(steps):
+            np.add(nodes, step, out=grid[:, j])
         nodes = out
     return nodes, power
 
@@ -104,8 +114,10 @@ def level_nodes(
 ) -> np.ndarray:
     """All nodes of words of length level+1, lexicographic order.
 
-    Vectorized enumeration: extending every length-k prefix by each letter in
-    order reproduces the lexicographic order of itertools.product.
+    Vectorized enumeration by ``_grow_nodes``: extending every length-k
+    prefix by each letter in order, one letter's column of the (prefix,
+    letter) grid at a time, reproduces the lexicographic order of
+    itertools.product.
 
     ``threads`` is accepted and ignored: the fold holds the interpreter lock
     for nearly all its work, so threads never made it faster.  The keyword

@@ -5,9 +5,41 @@ import itertools
 import numpy as np
 
 from ifslab.certificate import ChainDisk, chain_disk
-from ifslab.ifs import attractor_sample, level_nodes, nodal_radius
+from ifslab.ifs import nodal_radius
 from ifslab.paramspace import PRUNE_GUARD
 from ifslab.series import taylor_eval
+
+
+def grow_nodes_broadcast(
+    start: np.ndarray, lam: complex, level: int, signs: np.ndarray,
+    power: complex = complex(1.0), scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, complex]:
+    """Extend every start node by ``level`` more letters, lexicographically.
+
+    ``power`` is the weight lambda^k of the last letter of the start words
+    (length k+1); the weight of the last letter of the grown words is
+    returned with them.  Every node of a level is built by this one fold, so
+    growing a block of prefixes gives the bits of growing the whole level.
+    With ``scratch``, a pair of arrays large enough for the last level, the
+    grown levels alternate between the two instead of new arrays."""
+    nodes = start
+    for i in range(level):
+        power *= lam
+        size = nodes.size * signs.size
+        out = np.empty(size, np.complex128) if scratch is None else scratch[i % 2][:size]
+        np.add(nodes[:, None], signs[None, :] * power, out=out.reshape(nodes.size, -1))
+        nodes = out
+    return nodes, power
+
+
+def level_nodes_broadcast(lam, level, alphabet):
+    """All nodes of words of length level+1 in lexicographic order, from
+    ``grow_nodes_broadcast``: ``ifs._grow_nodes`` as it was when it formed
+    each level as one broadcast over the (prefix, letter) grid, kept verbatim
+    so that the node bits of the package's fold are checked against another
+    loop."""
+    signs = np.array((-1, 0, 1) if alphabet == "ternary" else (-1, 1), dtype=np.complex128)
+    return grow_nodes_broadcast(signs, complex(lam), level, signs)[0]
 
 
 def hausdorff_bruteforce(E, F):
@@ -163,7 +195,7 @@ def instar_clearance_full(lam, n, alphabet, center, radius, znode):
     """Chain-disk clearance from the whole level-n node array at once: the
     smallest gap to an instar disk whose node is not within
     1e-9 (1 + |znode|) of the tangent node ``znode``."""
-    nodes = level_nodes(lam, n, alphabet)
+    nodes = level_nodes_broadcast(lam, n, alphabet)
     keep = np.abs(nodes - znode) > 1e-9 * (1.0 + abs(znode))
     clearance = np.abs(nodes[keep] - center) - (radius + nodal_radius(lam, n))
     return float(np.min(clearance))
@@ -200,15 +232,16 @@ def draw_circle(rgb, window, cx, cy, radius, color):
 def attractor_ppm(lam, depth, alphabet, window, width, height,
                   overlay="none", level=3, series=None, periods=2):
     """The PPM bytes of ``ifslab attractor`` for an already refined ``lam``,
-    built from the whole level and one ``draw_circle`` call per circle."""
+    built from the whole level of the broadcast fold and one ``draw_circle``
+    call per circle."""
     if window is None:
         bound = 1.0 / (1.0 - abs(lam))
         window = (-bound, -bound, bound, bound)
     rgb = np.full((height, width, 3), 255, dtype=np.uint8)
-    attractor_points_full(rgb, attractor_sample(lam, depth, alphabet), window)
+    attractor_points_full(rgb, level_nodes_broadcast(lam, depth, alphabet), window)
     if overlay == "instar":
         radius = nodal_radius(lam, level)
-        for center in level_nodes(lam, level, alphabet):
+        for center in level_nodes_broadcast(lam, level, alphabet):
             draw_circle(rgb, window, center.real, center.imag, radius, (160, 160, 160))
     elif overlay == "chain":
         for n in range(periods * series.period):

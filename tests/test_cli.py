@@ -24,7 +24,7 @@ from ifslab.cli import (
 from ifslab.errors import ParseError
 from ifslab.numerics import newton_root
 from ifslab.series import RationalTypeSeries, numerator_polynomial
-from oracles import attractor_ppm
+from oracles import attractor_points_full, attractor_ppm
 
 
 def read_ppm(path):
@@ -182,6 +182,22 @@ class TestRender:
         ]) == 2
         assert "name one file" in capsys.readouterr().err
         assert not (tmp_path / "x.ppm").exists()
+
+    def test_hard_linked_outputs_refused_before_search(self, tmp_path, monkeypatch, capsys):
+        # two names, one file: the report would overwrite the image
+        def searched(*a, **k):
+            raise AssertionError("a pixel was searched for a refused output")
+
+        monkeypatch.setattr(cli.paramspace, "escape_grid", searched)
+        image, report = tmp_path / "x.ppm", tmp_path / "y.json"
+        image.write_bytes(b"old")
+        os.link(image, report)
+        assert main([
+            "render", "--window", "0,0,1,1", "--px", "4,4", "--depth", "3",
+            "--out", str(image), "--report", str(report),
+        ]) == 2
+        assert "name one file" in capsys.readouterr().err
+        assert image.read_bytes() == b"old"
 
     @pytest.mark.parametrize("flag", ["--out", "--report"])
     def test_output_folder_is_resolved_as_the_os_does(
@@ -510,6 +526,44 @@ class TestStreamedAttractor:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestPaintEdges:
+    """``_paint`` marks the pixels ``oracles.attractor_points_full`` marks,
+    for blocks wholly inside the image (painted without a mask), blocks
+    reaching one pixel past an edge, and blocks holding a NaN, which names
+    no pixel.  In the window (0, 0, W, H) a point (c + 1/2, H - r - 1/2)
+    floors to column c and row r."""
+
+    W, H = 7, 5
+    WINDOW = (0.0, 0.0, 7.0, 5.0)
+    CASES = {
+        "inside": [[(0, 0), (6, 4), (6, 0), (0, 4), (3, 2)]],
+        "col-1": [[(-1, 2), (3, 1)]],
+        "colW": [[(7, 2), (3, 1)]],
+        "row-1": [[(2, -1), (3, 1)]],
+        "rowH": [[(2, 5), (3, 1)]],
+        "corners-out": [[(-1, -1), (7, 5), (-1, 5), (7, -1)]],
+        "nan-col": [[(math.nan, 2), (3, 1)]],
+        "nan-row": [[(2, math.nan), (0, 0), (6, 4)]],
+        "mixed": [[(0, 0), (6, 4)], [(7, 4), (5, 3)], [(1, 1)], [(2, math.nan)]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_hits_equal_whole_array_oracle(self, case):
+        x0, y0, x1, y1 = self.WINDOW
+        blocks = [np.array([complex(c + 0.5, self.H - r - 0.5) for c, r in block])
+                  for block in self.CASES[case]]
+        rgb = np.full((self.H, self.W, 3), 255, dtype=np.uint8)
+        cli._paint(rgb, [
+            (np.floor((b.real - x0) * self.W / (x1 - x0)),
+             np.floor((y1 - b.imag) * self.H / (y1 - y0)))
+            for b in blocks
+        ], (0, 0, 0))
+        expected = np.full_like(rgb, 255)
+        points = np.concatenate(blocks)
+        attractor_points_full(expected, points[~np.isnan(points)], self.WINDOW)
+        assert np.array_equal(rgb, expected)
 
 
 class TestCertify:

@@ -15,6 +15,7 @@ from ifslab import (
 )
 from ifslab import ifs
 from ifslab.ifs import MAX_LEVEL, level_blocks, level_nodes, nodal_radius
+from oracles import level_nodes_broadcast
 
 LAM_RECT = 1j / math.sqrt(2)
 
@@ -167,6 +168,26 @@ class TestLevelBlocks:
             level_blocks(0.5 + 0.1j, -1, "binary")
         with pytest.raises(ValueError):
             level_blocks(0.5 + 0.1j, 2, "decimal")
+
+
+class TestFoldOracle:
+    """``level_nodes`` and the joined ``level_blocks`` have the bits of the
+    broadcast fold kept in ``oracles``.  Some of the lambda have a zero real
+    or imaginary part, so the signs of zeros are compared too."""
+
+    LAMS = {"half": 0.5, "i/sqrt2": LAM_RECT, "mixed": -0.3 + 0.6j, "landmark5": None}
+
+    @pytest.mark.parametrize("block", [ifs._BLOCK_NODES, 7])
+    @pytest.mark.parametrize("alphabet", ["binary", "ternary"])
+    @pytest.mark.parametrize("name", sorted(LAMS))
+    def test_nodes_equal_broadcast_fold(self, monkeypatch, roots, name, alphabet, block):
+        monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
+        lam = roots[5] if self.LAMS[name] is None else self.LAMS[name]
+        for level in range(11):
+            expected = level_nodes_broadcast(lam, level, alphabet).tobytes()
+            assert level_nodes(lam, level, alphabet).tobytes() == expected, level
+            blocks = [b.copy() for b in level_blocks(lam, level, alphabet)]
+            assert np.concatenate(blocks).tobytes() == expected, level
 
 
 class TestOverlapItinerary:

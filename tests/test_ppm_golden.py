@@ -5,9 +5,14 @@ PPM that ``ifslab.cli.main`` writes and, for ``render``, the sha256 of the
 report payload without its ``output`` path (the one field that names where
 the run wrote).  The cases are the README window (200x101, depth 40) and the
 acceptance window (128x128, depth 25) on M and M0, the rectangle attractor
-at lambda = i/sqrt(2), and landmark 5 with its level-6 instar and its chain
-overlays.  The file was generated at commit 57315f1, before condition (iii)
-became a pruned walk, with
+at lambda = i/sqrt(2), landmark 5 with its level-6 instar and its chain
+overlays, and two attractors shaped like the benchmark's: a ternary one at
+depth 12 in its default window, every block of nodes inside the image, and
+a binary zoom at depth 20 whose 128 blocks lie 7 wholly inside the window,
+111 wholly outside and 10 across its edge.  The first seven cases were
+generated at commit 57315f1, before condition (iii) became a pruned walk,
+and the last two at commit 9e77426, before the attractor raster painted
+whole blocks without a mask, with
 
     PYTHONPATH=src python tests/test_ppm_golden.py
 
@@ -44,6 +49,11 @@ CASES = {
     "attractor/landmark5/instar": ["attractor", *_LANDMARK5, "--overlay", "instar",
                                    "--level", "6"],
     "attractor/landmark5/chain": ["attractor", *_LANDMARK5, "--overlay", "chain"],
+    "attractor/ternary12": ["attractor", "--seed=0.3,0.6", "--set", "m", "--depth", "12",
+                            "--px", "400,400"],
+    "attractor/binary-zoom": ["attractor", "--seed=0.55,0.41", "--set", "m0",
+                              "--depth", "20", "--px", "300,300",
+                              "--window=1.0,0.5,2.0,1.5"],
 }
 
 
