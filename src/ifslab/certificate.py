@@ -178,6 +178,14 @@ def _require_root(f: RationalTypeSeries, lam: complex) -> complex:
     return lam
 
 
+def _check_block(f: RationalTypeSeries) -> None:
+    """ValueError when the periodic block of f is (0).  Such an f is a
+    polynomial, so f_{ell+1}(lambda) = f(lambda) = 0 at its root and
+    condition (i) fails by construction, not by a test of the certificate."""
+    if not any(f.block):
+        raise ValueError(f"periodic block of {f.format()} is zero: f is a polynomial")
+
+
 def _require_level(n: int) -> None:
     if n < 0:
         raise ValueError(f"level index must be >= 0, got n={n}")
@@ -552,12 +560,14 @@ def certify(f: RationalTypeSeries, lam: complex, target: str = "M") -> Certifica
     confirm; margins inside the band give "inconclusive", definite failures
     give "failed" with reasons.  For target M0 the series must additionally
     have no zero coefficients.  A zero-free series certified for M is flagged
-    as lying on the shared boundary of both loci.
+    as lying on the shared boundary of both loci.  A zero periodic block
+    raises ValueError, as a bad target does: condition (i) cannot hold.
 
     ``conditions`` holds (i), (ii) and the worst (iii)/(iii') polynomial for
     each n < p; the other polynomials of that n share its left-hand side
     and have larger margins, so they cannot change the verdict.
     """
+    _check_block(f)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", HypothesisViolated)
         # The geometry comes first: it checks the target, the root and its

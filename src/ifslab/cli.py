@@ -508,6 +508,10 @@ def main(argv=None) -> int:
         if args.command == "certify":
             series = RationalTypeSeries.parse(args.series)
             seed = _parse_complex(args.seed, "--seed")
+            try:
+                certificate._check_block(series)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from None
             _check_outputs(args.out)
             return cmd_certify(series, seed, SETS[args.set], args.out, argv)
 

@@ -9,11 +9,17 @@ definitive; survival to the requested depth only says no truncation ruled
 the parameter out, so it over-approximates the locus.
 
 Escape depth is the first prefix length at which every prefix fails the
-bound; it does not depend on traversal order.
+bound; it does not depend on traversal order.  The search therefore begins
+with one descent that takes, at each level, the passing child nearest 0,
+which often finds a survivor at once, and falls back to the lexicographic
+walk over the siblings it left behind.  Every passing prefix is still
+expanded once at most, and a level is built only for a passing prefix, so a
+surviving parameter still reads 0 and an escaping one the same escape depth.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +102,20 @@ def _search(lam: complex, digits: tuple[int, ...], depth: int) -> int:
     level; otherwise the first prefix length at which every prefix fails the
     bound.  The level table grows the first time the search reaches a level,
     so an early escape builds no deep level and the table's length is the
-    escape depth.  A stack entry is the flat triple (Re f_k, Im f_k, k); the
-    children f_k +- lambda^(k+1) are formed part by part, which is bit for bit
-    complex addition and subtraction.
+    escape depth.
+
+    The search begins with one descent that follows, at each level, the
+    passing child nearest 0 and pushes that level's other passing children;
+    the nearest child passes whenever any child does.  If the descent reaches
+    ``depth`` the parameter survived.  If it dies, the lexicographic loop pops
+    the pushed siblings.  Either way every passing prefix is expanded once at
+    most and a level is built only for a passing prefix, so the escape depth
+    is that of any other complete traversal: only how soon a survivor turns
+    up depends on the order.
+
+    A stack entry is the tuple (Re f, Im f, next level).  The children
+    f +- lambda^k are formed part by part, which is bit for bit complex
+    addition and subtraction; the 0 digit keeps the parent's value.
     """
     absl = abs(lam)
     R = 1.0 / (1.0 - absl)
@@ -107,30 +124,73 @@ def _search(lam: complex, digits: tuple[int, ...], depth: int) -> int:
     if 1.0 > levels[0][0]:
         return 1
     ternary = len(digits) == 3
-    stack = [1.0, 0.0, 0]
+    stack = []
+    push = stack.append
+    n = len(levels)  # also the prefix length of the descent's node
+    vr = 1.0
+    vi = 0.0
+    while n < depth:
+        bound, pr, pi = level = _level(lam, absl, R, guard, n)
+        levels.append(level)
+        n += 1
+        ar = vr + pr
+        ai = vi + pi
+        br = vr - pr
+        bi = vi - pi
+        a = ar * ar + ai * ai
+        b = br * br + bi * bi
+        # an M0 prefix has no 0 child: an infinite modulus fails every bound
+        z = vr * vr + vi * vi if ternary else math.inf
+        # siblings pushed plus, 0, minus, as the loop below pushes them
+        if a <= b and a <= z:
+            if a > bound:
+                break
+            if z <= bound:
+                push((vr, vi, n))
+            if b <= bound:
+                push((br, bi, n))
+            vr = ar
+            vi = ai
+        elif z <= b:
+            if z > bound:
+                break
+            if a <= bound:
+                push((ar, ai, n))
+            if b <= bound:
+                push((br, bi, n))
+        else:
+            if b > bound:
+                break
+            if a <= bound:
+                push((ar, ai, n))
+            if z <= bound:
+                push((vr, vi, n))
+            vr = br
+            vi = bi
+    else:
+        return 0  # the descent's prefix has length depth
     pop = stack.pop
-    extend = stack.extend
     while stack:
-        k1 = pop() + 1
-        vi = pop()
-        vr = pop()
-        if k1 == len(levels):
-            if k1 == depth:  # a prefix of length depth survived
+        vr, vi, k = pop()
+        if k == n:
+            if k == depth:  # a prefix of length depth survived
                 return 0
-            levels.append(_level(lam, absl, R, guard, k1))
-        bound, pr, pi = levels[k1]
+            levels.append(_level(lam, absl, R, guard, k))
+            n += 1
+        bound, pr, pi = levels[k]
+        k += 1
         # children pushed plus-first so the minus branch pops first (lex order)
         re = vr + pr
         im = vi + pi
         if re * re + im * im <= bound:
-            extend((re, im, k1))
+            push((re, im, k))
         if ternary and vr * vr + vi * vi <= bound:
-            extend((vr, vi, k1))
+            push((vr, vi, k))
         re = vr - pr
         im = vi - pi
         if re * re + im * im <= bound:
-            extend((re, im, k1))
-    return len(levels)
+            push((re, im, k))
+    return n
 
 
 def membership(lam: complex, set_kind: str = SET_M, depth: int = 40) -> MembershipResult:
@@ -219,13 +279,12 @@ def escape_grid(
     digits = _digits(set_kind)
     xs, ys = _pixel_centers(window, width, height)
     values = np.zeros((height, width), dtype=np.int32)
-    for j, y in enumerate(ys):
-        row = values[j]
-        for i in range(width):
-            lam = complex(xs[i], y)
+    xs = xs.tolist()
+    for j, y in enumerate(ys.tolist()):
+        row = []
+        for x in xs:
+            lam = complex(x, y)
             a = abs(lam)
-            if a == 0.0 or a >= 1.0:
-                row[i] = 1
-            else:
-                row[i] = _search(lam, digits, depth)
+            row.append(1 if a == 0.0 or a >= 1.0 else _search(lam, digits, depth))
+        values[j] = row
     return EscapeGrid(tuple(window), width, height, depth, set_kind, values)

@@ -99,13 +99,18 @@ def _prune_bounds_sq(absl: float, depth: int) -> list[float]:
     return [(absl ** (k + 1) * R + guard) ** 2 for k in range(depth)]
 
 
-def escape_depth_reference(lam: complex, digits: tuple[int, ...], depth: int) -> int:
+def escape_depth_reference(
+    lam: complex, digits: tuple[int, ...], depth: int, budget: int | None = None
+) -> int | None:
     """Pruned DFS over coefficient prefixes; 0 if some prefix of length
     ``depth`` survives, otherwise the maximum prefix length reached.
 
     ``paramspace._search`` as it was when it built its whole bound and power
-    lists up front and pushed (level, complex) pairs: a drop-in reference for
-    the lazy flat-stack search."""
+    lists up front and pushed (level, complex) pairs in lexicographic order: a
+    drop-in reference for the lazy search.  With a ``budget``, None once that
+    many prefixes have been expanded without an answer: near the real axis at
+    |lambda| > 0.7 the lexicographic order can spend seconds before it reaches
+    a survivor."""
     thr2 = _prune_bounds_sq(abs(lam), depth)
     if 1.0 > thr2[0]:
         return 1
@@ -116,6 +121,10 @@ def escape_depth_reference(lam: complex, digits: tuple[int, ...], depth: int) ->
     max_len = 1
     stack = [(0, complex(1.0))]
     while stack:
+        if budget is not None:
+            if budget == 0:
+                return None
+            budget -= 1
         k, value = stack.pop()
         k1 = k + 1
         bound = thr2[k1]
@@ -131,6 +140,25 @@ def escape_depth_reference(lam: complex, digits: tuple[int, ...], depth: int) ->
                     return 0
                 stack.append((k1, child))
     return max_len
+
+
+def nearest_descent_depth(lam: complex, digits: tuple[int, ...], depth: int) -> int:
+    """Length of the prefix built by always taking the child nearest 0, in
+    ``paramspace._search``'s arithmetic: ``depth`` if that prefix passes the
+    bound at every level up to ``depth``, else the length of the first child
+    that fails it."""
+    thr2 = _prune_bounds_sq(abs(lam), depth)
+    value = complex(1.0)
+    if 1.0 > thr2[0]:
+        return 1
+    for k in range(1, depth):
+        pw = lam**k
+        value = min(
+            (value + d * pw for d in digits), key=lambda c: c.real * c.real + c.imag * c.imag
+        )
+        if value.real * value.real + value.imag * value.imag > thr2[k]:
+            return k + 1
+    return depth
 
 
 def survivors_bruteforce(lam, set_kind, depth):

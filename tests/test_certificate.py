@@ -398,6 +398,15 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify(fixtures[1].series, roots[1], target="M00")
 
+    def test_zero_block_refused(self):
+        # a polynomial: f_{ell+1} = f vanishes at the root, so (i) cannot hold
+        f = RationalTypeSeries.parse("1,-1,-1,1,1,1,1;0")
+        lam = newton_root(numerator_polynomial(f), 0.6 + 0.3j)
+        assert abs(series.rational_eval(f, lam)) < certificate.ROOT_TOL
+        for target in ("M", "M0"):
+            with pytest.raises(ValueError, match="periodic block .* is zero"):
+                certify(f, lam, target=target)
+
     def test_real_root_warns_but_completes(self):
         f = RationalTypeSeries.parse("1;-1")  # vanishes at 1/2
         report = certify(f, 0.5 + 0j, target="M")
@@ -428,6 +437,10 @@ class TestEquivalence:
                     f, lam = random_rooted_series(rng, p)
                     while target == "M0" and f.zero_positions:
                         f, lam = random_rooted_series(rng, p)
+                    if not any(f.block):  # a polynomial: certify refuses it
+                        with pytest.raises(ValueError, match="zero"):
+                            certify(f, lam, target)
+                        continue
                     report = certify(f, lam, target)
                     records = {(r.which, r.n): r for r in report.conditions}
                     for n, level in enumerate(report.geometry.levels[:p]):

@@ -612,6 +612,20 @@ class TestCertify:
         ])
         assert code == 2
 
+    def test_zero_block_refused_before_newton(self, tmp_path, monkeypatch, capsys):
+        def newton(*a, **k):
+            raise AssertionError("Newton ran for a zero block")
+
+        monkeypatch.setattr(cli, "newton_root", newton)
+        out = tmp_path / "x.json"
+        code = main([
+            "certify", "--series", "1,-1,-1,1,1,1,1;0", "--seed", "0.6,0.28",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        assert "periodic block" in capsys.readouterr().err
+
     def test_numeric_failure_exit_code(self, tmp_path):
         # Newton from the critical point of the cubic numerator
         code = main([

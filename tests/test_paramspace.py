@@ -1,5 +1,9 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ifslab import (
     InvalidLambda,
@@ -14,6 +18,7 @@ from oracles import (
     escape_depth_bruteforce,
     escape_depth_reference,
     exhaustive_verdict,
+    nearest_descent_depth,
     survivors_bruteforce,
 )
 
@@ -115,6 +120,37 @@ class TestMembership:
         for depth in (10, 30, 60):
             assert membership(roots[1], "M", depth).survived
             assert membership(roots[5], "M0", depth).survived
+
+
+class TestFirstDescent:
+    """``_search`` against the lexicographic reference: the nearest-to-zero
+    first descent changes which survivor is found first, never the escape
+    depth."""
+
+    @pytest.mark.parametrize("value,set_kind,descent,escape", [
+        (0.056 + 0.749j, "M", 40, 0),  # the descent itself reaches depth
+        (0.616 + 0.315j, "M", 6, 0),  # it dies; the loop finds a survivor
+        (-0.452 + 0.477j, "M", 21, 0),  # it dies deep; the loop still finds one
+        (0.673 + 0.141j, "M0", 9, 10),  # it dies and the parameter escapes
+    ])
+    def test_pinned_parameters(self, value, set_kind, descent, escape):
+        digits = paramspace._digits(set_kind)
+        assert nearest_descent_depth(value, digits, 40) == descent
+        assert escape_depth_reference(value, digits, 40) == escape
+        assert paramspace._search(value, digits, 40) == escape
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.5, 0.95, exclude_min=True, exclude_max=True),
+        st.floats(-math.pi, math.pi),
+        st.integers(1, 60),
+        st.sampled_from([(-1, 0, 1), (-1, 1)]),
+    )
+    def test_equals_reference(self, modulus, angle, depth, digits):
+        lam = cmath.rect(modulus, angle)
+        want = escape_depth_reference(lam, digits, depth, budget=100_000)
+        assume(want is not None)
+        assert paramspace._search(lam, digits, depth) == want
 
 
 # Parameters where squaring with x**2 (C pow) and with x*x differ at the
@@ -269,6 +305,7 @@ class TestEscapeGrid:
     @pytest.mark.parametrize("window,width,height,depth", [
         ((0.40, -0.05, 0.60, 0.05), 200, 101, 40),  # the README window
         ((0.354, 0.0, 0.708, 0.354), 64, 64, 25),  # lower right quarter of the acceptance window
+        ((0.55, 0.0, 0.72, 0.06), 24, 8, 40),  # the near-real window
     ])
     def test_equals_reference_search(self, monkeypatch, set_kind, window, width, height, depth):
         got = escape_grid(window, width, height, set_kind, depth).values
