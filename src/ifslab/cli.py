@@ -15,12 +15,12 @@ case) and ``attractor --overlay`` none, instar or chain.  ``render --depth``
 takes 1..MAX_DEPTH, ``attractor --periods`` 1..MAX_PERIODS, and an overlay
 circle may take at most MAX_CIRCLE_SAMPLES samples.  Every one of these
 rules, the level guards of ``attractor`` and ``certify``, and the output
-paths of ``--out`` and ``--report`` (an existing, writable directory, not a
-directory itself, and not one file for both) is checked before the command
-walks its first level, so a refused command does no work.
+paths of ``--out`` and ``--report`` (not empty, in an existing, writable
+directory, not a directory itself, and not one file for both) is checked
+before the command walks its first level, so a refused command does no work.
 
-Exit codes: 0 success, 1 expectation failure, 2 usage/parse error, 3 numeric
-failure or an unwritable output ("io error").  Images are binary PPM (P6) and byte-identical for identical inputs.
+Exit codes: 0 success, 1 expectation failure, 2 usage/parse error (an empty
+output path too), 3 numeric failure or an unwritable output ("io error").  Images are binary PPM (P6) and byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -139,10 +139,13 @@ def _file_key(path: str):
 def _check_outputs(*paths: str | None) -> None:
     """OSError unless each given path can be written: its directory, as the
     OS resolves it (``missing/..`` is no directory), exists and is writable,
-    and the path is not a directory itself.  ParseError when two paths name
-    one file, which the second write would overwrite: one resolved path, or
-    for existing files one (device, inode) pair, which hard links share."""
-    paths = list(filter(None, paths))
+    and the path is not a directory itself.  ParseError for "" (only None is
+    no path) and when two paths name one file, which the second write would
+    overwrite: one resolved path, or for existing files one (device, inode)
+    pair, which hard links share."""
+    paths = [path for path in paths if path is not None]
+    if "" in paths:
+        raise ParseError("an output path must not be empty")
     if len({_file_key(path) for path in paths}) < len(paths):
         raise ParseError(f"output paths {paths!r} name one file")
     for path in paths:
@@ -182,7 +185,8 @@ def envelope(command: list[str], payload: dict) -> dict:
 
 def _write_json(path: str | None, data: dict) -> None:
     """A report's one layout, indented JSON and a newline, in ``path`` or on stdout."""
-    with open(path, "w", encoding="ascii") if path else contextlib.nullcontext(sys.stdout) as fh:
+    with (open(path, "w", encoding="ascii") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
 
@@ -200,7 +204,7 @@ def cmd_render(
     grid = paramspace.escape_grid(window, width, height, set_kind, depth)
     rgb = grid_to_rgb(grid)
     write_ppm(out, rgb)
-    if report_path:
+    if report_path is not None:
         import hashlib
 
         digest = hashlib.sha256(rgb.tobytes()).hexdigest()
@@ -286,10 +290,11 @@ def _circle_steps(radius: float, window, width: int, height: int) -> int:
     return max(64, int(needed))
 
 
-def _draw_circles(window, width: int, height: int, centers: np.ndarray, radius: float, steps: int):
+def _draw_circles(window, width: int, height: int, centers, radius: float, steps: int):
     """The (cols, rows) pairs for ``_paint`` of the parametric outlines of
-    circles of one radius around ``centers``, with ``steps`` samples per
-    circle, in batches of about ``ifs._BLOCK_NODES`` samples."""
+    circles of one radius around ``centers``, an iterable of centre arrays
+    used up one by one (so ``ifs.level_blocks`` may feed it), with ``steps``
+    samples per circle, in batches of about ``ifs._BLOCK_NODES`` samples."""
     x0, y0, x1, y1 = window
     sx = width / (x1 - x0)
     sy = height / (y1 - y0)
@@ -299,10 +304,11 @@ def _draw_circles(window, width: int, height: int, centers: np.ndarray, radius: 
     batch = max(1, ifs._BLOCK_NODES // steps)
     # (xs - x0) * sx floors some samples to other pixels than the attractor
     # points' (x - x0) * W / (x1 - x0); images depend on both staying as is
-    for i in range(0, centers.size, batch):
-        c = centers[i:i + batch]
-        yield (np.floor((c.real[:, None] + dx - x0) * sx),
-               np.floor((y1 - (c.imag[:, None] + dy)) * sy))
+    for block in centers:
+        for i in range(0, block.size, batch):
+            c = block[i:i + batch]
+            yield (np.floor((c.real[:, None] + dx - x0) * sx),
+                   np.floor((y1 - (c.imag[:, None] + dy)) * sy))
 
 
 def _overlay_circles(
@@ -310,18 +316,17 @@ def _overlay_circles(
     level: int, series: RationalTypeSeries | None, periods: int,
 ) -> tuple[list, tuple[int, int, int] | None]:
     """The circles of ``overlay`` as (centers, radius, steps) triples, each
-    ``centers`` a function giving the array of circle centres and ``steps``
+    ``centers`` a function giving an iterable of centre arrays and ``steps``
     the samples per circle, and the one colour they are all drawn in (None
     without circles).
 
     Every refusal of the overlay comes from here, before any level is walked:
     the instar level guard, ``chain`` without ``--series`` or at a non-root,
     and MAX_CIRCLE_SAMPLES for every circle.  The instar centres are the
-    level's nodes, built only when the circles are drawn but built whole,
-    unlike the points: 3^(L+1) nodes of 16 bytes at level L, 230 MB at 14."""
+    level's nodes, walked in blocks when the circles are drawn."""
     if overlay == "instar":
         ifs._check_level(level, alphabet)
-        circles = [(functools.partial(ifs.level_nodes, lam, level, alphabet),
+        circles = [(functools.partial(ifs.level_blocks, lam, level, alphabet),
                     ifs.nodal_radius(lam, level))]
         color = (160, 160, 160)
     elif overlay == "chain":
@@ -333,7 +338,7 @@ def _overlay_circles(
             raise ParseError("--overlay chain requires lambda to be a root "
                              "of --series") from None
         disks = certificate._chain(series, lam, periods * series.period)[2]
-        circles = [(functools.partial(np.array, [disk.center]), disk.radius)
+        circles = [(functools.partial(iter, [np.array([disk.center])]), disk.radius)
                    for disk in disks if disk.radius > 0]
         color = (0, 160, 0)
     else:
@@ -403,7 +408,7 @@ def cmd_landmarks(ids, out: str | None, command: list[str]) -> int:
         )
         for note in oc.notes:
             print(f"     - {note}")
-    if out:
+    if out is not None:
         payload = {
             "kind": "landmark_suite",
             "probe_semantics": "survived = depth-limited search could not "

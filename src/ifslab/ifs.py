@@ -8,9 +8,9 @@ around the nodes of all words of length k+1 (``level_nodes``); instars
 shrink onto the attractor.  Enumeration is always lexicographic with
 minus < center < plus, so outputs are deterministic.  Whole levels
 (``level_nodes``) and bounded blocks of a level (``level_blocks``) are built
-by one fold, so a node has the same bits either way.  The blocks stream both
-the certificate's searches and the attractor raster of the command line,
-whose memory is therefore flat in the level.
+by one fold over a table of letter weights, so a node has the same bits
+either way.  The blocks stream the certificate's clearance and the attractor
+points and instar circles of the command line, flat in memory.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .series import RationalTypeSeries, _power_sums, coeff_at
 BINARY = "binary"
 TERNARY = "ternary"
 
-#: Deepest enumerable level per alphabet; keeps full enumerations at desk
-#: scale (3^15 points is the worst case).
+#: Deepest enumerable level per alphabet: 3^15 or 2^23 nodes, 230 or 134 MB as
+#: one ``level_nodes`` array; the block walks keep their memory flat.
 MAX_LEVEL = {BINARY: 22, TERNARY: 14}
 
 
@@ -77,79 +77,76 @@ def node(word: Word, lam: complex) -> complex:
 _BLOCK_NODES = 1 << 14
 
 
-def _grow_nodes(
-    start: np.ndarray, lam: complex, level: int, signs: np.ndarray,
-    power: complex = complex(1.0), scratch: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, complex]:
-    """Extend every start node by ``level`` more letters, lexicographically.
-
-    ``power`` is the weight lambda^k of the last letter of the start words
-    (length k+1); the weight of the last letter of the grown words is
-    returned with them.  Every node of a level is built by this one fold, so
-    growing a block of prefixes gives the bits of growing the whole level.
-    With ``scratch``, a pair of arrays large enough for the last level, the
-    grown levels alternate between the two instead of new arrays.
-
-    A level is the (prefix, letter) grid of the sums node + letter * power,
-    filled one letter's column at a time: each column is one pass over the
-    prefix array, where a broadcast over the grid would run an inner loop
-    only as long as the alphabet.  Both add the same operands, so the bits
-    are the same.  Node i of the grown level is prefix i // size(signs) plus
-    letter i % size(signs), so the order is lexicographic."""
-    nodes = start
-    for i in range(level):
+def _letter_weights(lam: complex, level: int, alphabet: str) -> tuple[np.ndarray, list]:
+    """The letters of ``alphabet`` as complex values and, at each index
+    k = 1..level, their weights ``letters * lambda^k`` as numpy scalars, with
+    lambda^k the running product ``power *= lam``; the level is checked
+    first.  A walk builds this table once, so no block recomputes a weight."""
+    _check_level(level, alphabet)
+    signs = np.array(_signs(alphabet), dtype=np.complex128)
+    weights, power = [], complex(1.0)
+    for _ in range(level):
         power *= lam
-        steps = signs * power
-        size = nodes.size * signs.size
+        weights.append(list(signs * power))
+    return signs, weights
+
+
+def _fold(nodes: np.ndarray, weights: list[list], scratch: tuple | None = None) -> np.ndarray:
+    """Extend every node by one letter per entry of ``weights``.  Every node
+    of a level is built by this one fold, so growing a block of prefixes
+    gives the bits of growing the whole level.  With ``scratch``, a pair of
+    arrays large enough for the last level, the grown levels alternate
+    between the two instead of new arrays.
+
+    A level is the (prefix, letter) grid of the sums node + weight, filled
+    one letter's column at a time: one pass over the prefix array each,
+    where a broadcast over the grid would run inner loops as short as the
+    alphabet, with the same bits.  Node i of the grown level is prefix
+    i // k plus letter i % k, for k letters: lexicographic order."""
+    for i, steps in enumerate(weights):
+        size = nodes.size * len(steps)
         out = np.empty(size, np.complex128) if scratch is None else scratch[i % 2][:size]
-        grid = out.reshape(nodes.size, signs.size)
+        grid = out.reshape(nodes.size, len(steps))
         for j, step in enumerate(steps):
             np.add(nodes, step, out=grid[:, j])
         nodes = out
-    return nodes, power
+    return nodes
 
 
 def level_nodes(
     lam: complex, level: int, alphabet: str = TERNARY, threads: int = 1
 ) -> np.ndarray:
-    """All nodes of words of length level+1, lexicographic order.
-
-    Vectorized enumeration by ``_grow_nodes``: extending every length-k
-    prefix by each letter in order, one letter's column of the (prefix,
-    letter) grid at a time, reproduces the lexicographic order of
-    itertools.product.
+    """All nodes of words of length level+1 in the lexicographic order of
+    itertools.product, grown whole by ``_fold``.
 
     ``threads`` is accepted and ignored: the fold holds the interpreter lock
     for nearly all its work, so threads never made it faster.  The keyword
     remains only because the benchmark's thread probe passes it, and is
     removed together with that probe.
     """
-    _check_level(level, alphabet)
-    signs = np.array(_signs(alphabet), dtype=np.complex128)
-    return _grow_nodes(signs, complex(lam), level, signs)[0]
+    return _fold(*_letter_weights(complex(lam), level, alphabet))
 
 
-def _level_blocks(lam: complex, level: int, signs: np.ndarray):
-    """Nodes sum a_j lambda^j of all words a_0..a_level over ``signs``, in
-    lexicographic order, as consecutive blocks of at most _BLOCK_NODES.
+def _level_blocks(signs: np.ndarray, weights: list):
+    """Nodes sum a_j lambda^j of all words a_0..a_level over ``signs``, with
+    the weights a_j lambda^j of ``_letter_weights``, in lexicographic order,
+    as consecutive blocks of at most _BLOCK_NODES.
 
-    The top levels are grown once; each block grows a run of those prefixes
-    to the leaves with the same fold, so every node has the bits it has in
-    ``level_nodes``.  A block's levels are grown in two scratch arrays
-    allocated once per walk, so a block is valid until the next one is
-    drawn: new arrays at every block made the C heap shrink and grow again."""
-    k = signs.size
+    The top levels are grown once, and each block grows a run of those
+    prefixes to the leaves by the same fold and weights: the bits of
+    ``level_nodes``.  A block's levels alternate between two arrays allocated
+    once per walk, so a block is valid until the next one is drawn: new
+    arrays at every block made the C heap shrink and grow again."""
+    k, level = signs.size, len(weights)
     depth = 0
     while k ** (level - depth) > _BLOCK_NODES:
         depth += 1
-    prefixes, power = _grow_nodes(signs, lam, depth, signs)
+    prefixes = _fold(signs, weights[:depth])
     step = _BLOCK_NODES // k ** (level - depth)
     size = min(step, prefixes.size) * k ** (level - depth)
     scratch = (np.empty(size, np.complex128), np.empty(size, np.complex128))
     for start in range(0, prefixes.size, step):
-        yield _grow_nodes(
-            prefixes[start:start + step], lam, level - depth, signs, power, scratch
-        )[0]
+        yield _fold(prefixes[start:start + step], weights[depth:], scratch)
 
 
 def level_blocks(lam: complex, level: int, alphabet: str = TERNARY):
@@ -158,9 +155,7 @@ def level_blocks(lam: complex, level: int, alphabet: str = TERNARY):
     block is overwritten by the next one: copy it to keep it.
 
     The level is checked here, before the first block is asked for."""
-    _check_level(level, alphabet)
-    signs = np.array(_signs(alphabet), dtype=np.complex128)
-    return _level_blocks(complex(lam), level, signs)
+    return _level_blocks(*_letter_weights(complex(lam), level, alphabet))
 
 
 def nodal_radius(lam: complex, level: int) -> float:

@@ -34,10 +34,10 @@ def grow_nodes_broadcast(
 
 def level_nodes_broadcast(lam, level, alphabet):
     """All nodes of words of length level+1 in lexicographic order, from
-    ``grow_nodes_broadcast``: ``ifs._grow_nodes`` as it was when it formed
-    each level as one broadcast over the (prefix, letter) grid, kept verbatim
-    so that the node bits of the package's fold are checked against another
-    loop."""
+    ``grow_nodes_broadcast``: the package's level fold as it was when it
+    formed each level as one broadcast over the (prefix, letter) grid, kept
+    verbatim so that the node bits of the package's fold are checked against
+    another loop."""
     signs = np.array((-1, 0, 1) if alphabet == "ternary" else (-1, 1), dtype=np.complex128)
     return grow_nodes_broadcast(signs, complex(lam), level, signs)[0]
 

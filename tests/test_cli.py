@@ -513,6 +513,26 @@ class TestStreamedAttractor:
         ]) == 0
         assert disks <= len(reads) <= 2 * disks
 
+    def test_instar_overlay_memory_flat_in_level(self, tmp_path, monkeypatch):
+        # the level-11 centres alone are 3^12 complex nodes, 8.5 MB; the
+        # overlay walks them in blocks and never builds a whole level
+        def built(*args, **kwargs):
+            raise AssertionError("the overlay built a whole level")
+
+        monkeypatch.setattr(ifs, "level_nodes", built)
+        text, seed = LANDMARK5
+        argv = ["attractor", f"--seed={seed.real!r},{seed.imag!r}", "--series", text,
+                "--depth", "4", "--px", "50,50", "--overlay", "instar",
+                "--out", str(tmp_path / "a.ppm")]
+        assert main(argv + ["--level", "2"]) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--level", "11"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_memory_flat_in_depth(self, tmp_path):
         # the level alone is 2^21 complex nodes, 33.5 MB
         out = tmp_path / "deep.ppm"
@@ -711,6 +731,49 @@ class TestLandmarksCommand:
 
         monkeypatch.setattr(cli_mod.landmarks, "run_suite", broken_suite)
         assert main(["landmarks", "--id", "1"]) == 1
+
+
+class TestEmptyOutputPath:
+    """An empty ``--out`` or ``--report`` exits 2 in every command before any
+    work: only an absent flag means "no path".  ``os.path.dirname("")`` is
+    empty, which the folder checks read as the current directory, so the
+    empty path needs its own rule."""
+
+    CASES = {
+        "render --out": ["render", "--window", "0,0,1,1", "--px", "128,128", "--out", ""],
+        "render --report": ["render", "--window", "0,0,1,1", "--px", "128,128",
+                            "--out", "x.ppm", "--report", ""],
+        "attractor --out": ["attractor", "--seed", "0.6,0.25", "--out", ""],
+        "certify --out": ["certify", "--series", "1;1,1,-1", "--seed=-0.37,0.52",
+                          "--out", ""],
+        "landmarks --out": ["landmarks", "--out", ""],
+    }
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def worked(*args, **kwargs):
+            raise AssertionError("work began for an empty output path")
+
+        for owner, name in ((cli.paramspace, "escape_grid"), (cli.paramspace, "_search"),
+                            (ifs, "level_blocks"), (ifs, "level_nodes"),
+                            (cli.certificate, "certify"), (cli.landmarks, "run_suite")):
+            monkeypatch.setattr(owner, name, worked)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_before_any_work(self, tmp_path, monkeypatch, capsys, no_work, case):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.CASES[case]) == 2
+        captured = capsys.readouterr()
+        assert "must not be empty" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_only_none_means_no_path(self):
+        cli._check_outputs(None, None)
+        with pytest.raises(ParseError):
+            cli._check_outputs("")
+        with pytest.raises(ParseError):
+            cli._check_outputs(None, "")
 
 
 class TestUsage:

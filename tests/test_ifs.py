@@ -161,6 +161,21 @@ class TestLevelBlocks:
         expected = level_nodes(lam, level, alphabet)
         assert joined.tobytes() == expected.tobytes()
 
+    def test_one_weight_table_per_walk(self, monkeypatch):
+        # blocks of 6 nodes: 9,842 blocks, every one folded with the walk's
+        # one table of letter weights
+        monkeypatch.setattr(ifs, "_BLOCK_NODES", 7)
+        tables = []
+        letter_weights = ifs._letter_weights
+
+        def counted(*args):
+            tables.append(args)
+            return letter_weights(*args)
+
+        monkeypatch.setattr(ifs, "_letter_weights", counted)
+        assert sum(b.size for b in level_blocks(0.52 + 0.31j, 9, "ternary")) == 3**10
+        assert len(tables) == 1
+
     def test_level_checked_before_the_first_block(self):
         with pytest.raises(LevelTooDeep):
             level_blocks(0.5 + 0.1j, MAX_LEVEL["ternary"] + 1, "ternary")

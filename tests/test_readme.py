@@ -1,0 +1,59 @@
+"""The README runs as written: its library tour and its command lines.
+
+The tour is executed and the claims in its comments are checked; each
+``ifslab ...`` line of the command block (``\\`` continuations joined) runs
+through ``cli.main`` and must exit 0."""
+
+import contextlib
+import io
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from ifslab.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def _block(heading: str, fence: str) -> str:
+    """The first block fenced by ``fence`` after the line ``heading``."""
+    section = README[README.index(f"\n{heading}\n"):]
+    return re.search(rf"^{re.escape(fence)}\n(.*?)^```$", section, re.M | re.S).group(1)
+
+
+def _command_lines() -> list[str]:
+    lines = _block("## Command line", "```").replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("ifslab ")]
+
+
+def test_library_tour_runs_and_its_comments_hold():
+    tour = _block("## Library tour", "```python")
+    namespace = {}
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(tour, "README.md", "exec"), namespace)
+    verdict, shared, margin = printed.getvalue().splitlines()
+    assert verdict == "accessible_M"
+    assert shared == "True"
+    assert float(margin) > 0
+    geo = namespace["geo"]
+    assert geo.all_exist and geo.all_connected and geo.all_disjoint
+    probes = [line.split("#") for line in tour.splitlines() if line.startswith("L.membership(")]
+    assert [comment.strip() for _, comment in probes] == ["survived", "escaped(1)"]
+    for expression, comment in probes:
+        # str() reads "<set>:depth<depth>:<state>"
+        assert str(eval(expression, namespace)).endswith(":" + comment.strip())
+
+
+@pytest.mark.parametrize("line", _command_lines(), ids=lambda line: line.split()[1])
+def test_command_line_runs(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:]) == 0
+
+
+def test_command_block_is_found():
+    assert [line.split()[1] for line in _command_lines()] == [
+        "render", "attractor", "attractor", "certify", "landmarks",
+    ]
