@@ -57,7 +57,6 @@ from .errors import (
     DerivativeVanished,
     EnumerationTooLarge,
     HypothesisViolated,
-    LevelTooDeep,
     NotARoot,
 )
 from . import ifs
@@ -261,18 +260,6 @@ def _consecutive_overlap(f: RationalTypeSeries, lam: complex, sums: list, n: int
     return record_inequality("ii", n, lhs, rhs, flip=False)
 
 
-def _separation_params(variant: str, n: int) -> tuple[int, tuple[int, ...], str]:
-    if variant == "doubled":
-        params = 2, (-2, -1, 0, 1, 2), "iii"
-    elif variant == "single":
-        params = 1, (-1, 0, 1), "iii'"
-    else:
-        raise ValueError(f"variant must be 'doubled' or 'single', got {variant!r}")
-    if n > 12:
-        raise EnumerationTooLarge(f"{len(params[1])}^(n+1) enumeration refused for n={n} > 12")
-    return params
-
-
 @dataclass(frozen=True)
 class _Separation:
     """Condition (iii) or (iii') at level n, up to the choice of P."""
@@ -300,7 +287,16 @@ class _Separation:
 
 
 def _separation(f: RationalTypeSeries, lam: complex, sums: list, n: int, variant: str) -> _Separation:
-    factor, values, which = _separation_params(variant, n)
+    """Condition (iii) ("doubled") or (iii') ("single") at level n, with the
+    n > 12 ceiling of every walk over its polynomials."""
+    if variant == "doubled":
+        factor, values, which = 2, (-2, -1, 0, 1, 2), "iii"
+    elif variant == "single":
+        factor, values, which = 1, (-1, 0, 1), "iii'"
+    else:
+        raise ValueError(f"variant must be 'doubled' or 'single', got {variant!r}")
+    if n > 12:
+        raise EnumerationTooLarge(f"{len(values)}^(n+1) enumeration refused for n={n} > 12")
     ell = f.preperiod
     return _Separation(
         which=which,
@@ -331,10 +327,10 @@ def condition_instar_separation(
     """
     _require_level(n)
     lam = _require_root(f, lam)
-    count = len(_separation_params(variant, n)[1]) ** (n + 1) - 1
+    sep = _separation(f, lam, _chain(f, lam, n + 1)[3], n, variant)
+    count = len(sep.values) ** (n + 1) - 1
     if count > MAX_SEPARATION_RECORDS:
         raise EnumerationTooLarge(f"{count} records at n={n} exceed {MAX_SEPARATION_RECORDS}")
-    sep = _separation(f, lam, _chain(f, lam, n + 1)[3], n, variant)
     return [
         sep.record(coeffs)
         for coeffs in itertools.product(sep.values, repeat=n + 1)
@@ -506,8 +502,9 @@ def verify_chain(
     Also reports whether each disk is contained in its predecessor (closed
     disks, small tolerance) since deeper chains sometimes nest.
 
-    More than 14 chain levels raise LevelTooDeep before any chain disk is
-    built, so a long period is refused at once.
+    The deepest instar level the clearance walks, periods_checked * p - 1,
+    is checked by ``ifs`` before any chain disk is built, so a long period
+    is refused at once (at two periods: p > 7 for M, p > 11 for M0).
     """
     if target not in ("M", "M0"):
         raise ValueError(f"target must be 'M' or 'M0', got {target!r}")
@@ -515,10 +512,9 @@ def verify_chain(
     if periods_checked < 1:
         raise ValueError("periods_checked must be >= 1")
     count = periods_checked * f.period
-    if count > 14:
-        raise LevelTooDeep(f"{count} chain levels exceed the guard of 14")
-    _, nodes, disks, _ = _chain(f, lam, count + 1)
     alphabet = ifs.TERNARY if target == "M" else ifs.BINARY
+    ifs._check_level(count - 1, alphabet)
+    _, nodes, disks, _ = _chain(f, lam, count + 1)
     levels = []
     for n in range(count):
         dn, dn1 = disks[n], disks[n + 1]

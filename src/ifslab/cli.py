@@ -14,13 +14,16 @@ W/(x1 - x0), H/(y1 - y0) must be finite too.  ``--set`` takes m or m0 (any
 case) and ``attractor --overlay`` none, instar or chain.  ``render --depth``
 takes 1..MAX_DEPTH, ``attractor --periods`` 1..MAX_PERIODS, and an overlay
 circle may take at most MAX_CIRCLE_SAMPLES samples.  Every one of these
-rules, the level guards of ``attractor`` and ``certify``, and the output
+rules, the level guards of ``attractor`` and ``certify`` (``ifs.MAX_LEVEL``
+of the walk's alphabet, checked by the call that walks), and the output
 paths of ``--out`` and ``--report`` (not empty, in an existing, writable
 directory, not a directory itself, and not one file for both) is checked
 before the command walks its first level, so a refused command does no work.
 
 Exit codes: 0 success, 1 expectation failure, 2 usage/parse error (an empty
-output path too), 3 numeric failure or an unwritable output ("io error").  Images are binary PPM (P6) and byte-identical for identical inputs.
+``--series`` or output path too), 3 numeric failure or an unwritable output
+("io error").  Images are binary PPM (P6) and byte-identical for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -316,18 +319,16 @@ def _overlay_circles(
     level: int, series: RationalTypeSeries | None, periods: int,
 ) -> tuple[list, tuple[int, int, int] | None]:
     """The circles of ``overlay`` as (centers, radius, steps) triples, each
-    ``centers`` a function giving an iterable of centre arrays and ``steps``
-    the samples per circle, and the one colour they are all drawn in (None
-    without circles).
+    ``centers`` an iterable of centre arrays and ``steps`` the samples per
+    circle, and the one colour they are all drawn in (None without circles).
 
     Every refusal of the overlay comes from here, before any level is walked:
-    the instar level guard, ``chain`` without ``--series`` or at a non-root,
-    and MAX_CIRCLE_SAMPLES for every circle.  The instar centres are the
-    level's nodes, walked in blocks when the circles are drawn."""
+    the instar level guard (``ifs.level_blocks`` checks the level when
+    called), ``chain`` without ``--series`` or at a non-root, and
+    MAX_CIRCLE_SAMPLES for every circle.  The instar centres are the level's
+    nodes, walked in blocks only when the circles are drawn."""
     if overlay == "instar":
-        ifs._check_level(level, alphabet)
-        circles = [(functools.partial(ifs.level_blocks, lam, level, alphabet),
-                    ifs.nodal_radius(lam, level))]
+        circles = [(ifs.level_blocks(lam, level, alphabet), ifs.nodal_radius(lam, level))]
         color = (160, 160, 160)
     elif overlay == "chain":
         if series is None:
@@ -338,7 +339,7 @@ def _overlay_circles(
             raise ParseError("--overlay chain requires lambda to be a root "
                              "of --series") from None
         disks = certificate._chain(series, lam, periods * series.period)[2]
-        circles = [(functools.partial(iter, [np.array([disk.center])]), disk.radius)
+        circles = [([np.array([disk.center])], disk.radius)
                    for disk in disks if disk.radius > 0]
         color = (0, 160, 0)
     else:
@@ -366,7 +367,7 @@ def cmd_attractor(
     if circles:
         _paint(rgb, (
             pixels for centers, radius, steps in circles
-            for pixels in _draw_circles(window, width, height, centers(), radius, steps)
+            for pixels in _draw_circles(window, width, height, centers, radius, steps)
         ), color)
     write_ppm(out, rgb)
     return EXIT_OK
@@ -493,7 +494,7 @@ def main(argv=None) -> int:
 
         if args.command == "attractor":
             seed = _parse_complex(args.seed, "--seed")
-            series = RationalTypeSeries.parse(args.series) if args.series else None
+            series = None if args.series is None else RationalTypeSeries.parse(args.series)
             window, w, h = _parse_frame(args.window, args.px)
             if args.depth < 0 or args.level < 0:
                 raise ParseError("--depth and --level must be >= 0")

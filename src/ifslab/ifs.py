@@ -25,8 +25,9 @@ from .series import RationalTypeSeries, _power_sums, coeff_at
 BINARY = "binary"
 TERNARY = "ternary"
 
-#: Deepest enumerable level per alphabet: 3^15 or 2^23 nodes, 230 or 134 MB as
-#: one ``level_nodes`` array; the block walks keep their memory flat.
+#: Deepest level of every walk per alphabet (attractor points, instar overlay,
+#: certificate clearance): 3^15 or 2^23 nodes, 230 or 134 MB as one
+#: ``level_nodes`` array; the block walks keep their memory flat.
 MAX_LEVEL = {BINARY: 22, TERNARY: 14}
 
 

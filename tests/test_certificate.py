@@ -312,8 +312,10 @@ class TestVerifyChain:
         assert geo.all_exist and geo.all_connected and geo.all_disjoint
 
     def test_level_guard(self, roots, fixtures):
+        # landmark 5 has p = 3: six periods walk ternary levels 0..17, past
+        # the walker's ceiling of 14
         with pytest.raises(Exception) as err:
-            verify_chain(fixtures[5].series, roots[5], periods_checked=5)
+            verify_chain(fixtures[5].series, roots[5], periods_checked=6)
         assert "guard" in str(err.value)
 
     def test_binary_target_at_zero_free_landmark(self, roots, fixtures):
@@ -516,6 +518,20 @@ class TestStreamedCertificate:
                 )
                 assert got.hex() == want.hex(), (f, lam, n, block)
 
+    def test_period8_binary_clearance_equals_full_level(self):
+        # two periods of an M0 chain at p = 8 walk binary levels 0..15; the
+        # deepest holds 2^16 nodes, so the whole-level minimum is cheap
+        f = RationalTypeSeries.parse("1;1,1,-1,1,-1,-1,1,-1")
+        lam = newton_root(numerator_polynomial(f), -0.42323 + 0.47518j)
+        geo = verify_chain(f, lam, 2, "M0")
+        _, nodes, disks, _ = certificate._chain(f, lam, 16)
+        assert [lv.n for lv in geo.levels] == list(range(16))
+        for n, level in enumerate(geo.levels):
+            want = instar_clearance_full(
+                lam, n, BINARY, disks[n].center, disks[n].radius, nodes[n]
+            )
+            assert level.disjoint_margin.hex() == want.hex(), n
+
     @pytest.mark.parametrize("target, which", [("M", "iii"), ("M0", "iii'")])
     def test_period7_report_has_one_record_per_condition_and_level(
         self, rng, target, which
@@ -530,9 +546,17 @@ class TestStreamedCertificate:
         assert len(lines) == len(failing)
 
 
-    @pytest.mark.parametrize("target", ["M", "M0"])
-    def test_period8_refused_before_any_separation_search(self, monkeypatch, target):
-        # 2p chain levels exceed the geometry's guard of 14 at p = 8; the
+    @pytest.mark.parametrize(
+        "target, text, seed",
+        [
+            ("M", "1;1,1,-1,1,1,-1,-1,1", -0.377 + 0.545j),
+            ("M0", "1;-1,1,1,-1,1,-1,1,1,-1,1,-1,-1", -0.38983 + 0.86888j),
+        ],
+        ids=["M", "M0"],
+    )
+    def test_period8_refused_before_any_separation_search(self, monkeypatch, target, text, seed):
+        # two periods walk instar levels 0..2p-1, past the walker's ceiling
+        # from p = 8 for M (ternary 14) and p = 12 for M0 (binary 22); the
         # refusal comes before any chain disk and before the 5^(n+1) (resp.
         # 3^(n+1)) searches of condition (iii), so a long period costs nothing
         def searched(*args):
@@ -540,15 +564,36 @@ class TestStreamedCertificate:
 
         monkeypatch.setattr(certificate, "_worst_separation", searched)
         monkeypatch.setattr(certificate, "_chain", searched)
-        period8 = RationalTypeSeries.parse("1;1,1,-1,1,1,-1,-1,1")
         # p = 1600: seeded near the first np.roots root of the numerator with
         # 0.3 < |z| < 0.97 and Im z > 0.01 (np.roots takes seconds here)
         block = [1] + [int(c) for c in np.random.default_rng(1).choice([-1, 1], 1599)]
         period1600 = RationalTypeSeries.from_parts([1, -1], block)
-        for f, seed in ((period8, -0.377 + 0.545j), (period1600, 0.67992 + 0.63420j)):
+        for f, seed in ((RationalTypeSeries.parse(text), seed), (period1600, 0.67992 + 0.63420j)):
             lam = newton_root(numerator_polynomial(f), seed)
             with pytest.raises(LevelTooDeep):
                 certify(f, lam, target=target)
+
+
+class TestBinaryPeriods:
+    """M0 walks the binary instar, whose ceiling of 22 levels lets two
+    periods of p <= 11 through: one sampled M0 root at each p = 8..11."""
+
+    CASES = {
+        8: ("1;1,1,-1,1,-1,-1,1,-1", -0.42323 + 0.47518j, "failed"),
+        9: ("1;1,1,-1,-1,1,-1,-1,1,-1", -0.29614 + 0.58590j, "failed"),
+        10: ("1;1,1,-1,-1,1,-1,-1,1,1,-1", -0.281 + 0.596j, "accessible_M0"),
+        11: ("1;-1,1,1,-1,-1,-1,1,1,1,-1,-1", 0.28932 + 0.58609j, "accessible_M0"),
+    }
+
+    @pytest.mark.parametrize("period", sorted(CASES))
+    def test_certificate_finishes(self, period):
+        text, seed, verdict = self.CASES[period]
+        f = RationalTypeSeries.parse(text)
+        assert f.period == period
+        report = certify(f, newton_root(numerator_polynomial(f), seed), target="M0")
+        assert report.verdict == verdict
+        assert [lv.n for lv in report.geometry.levels] == list(range(2 * period))
+        assert report.warnings == ()
 
 
 class TestOneExpression:

@@ -374,15 +374,18 @@ class TestAttractor:
                             "--window=0,0,1e-6,1e-6", "--px", "400,400"], 2),
         "chain-circle-ceiling": (["--overlay", "chain", "--series", "1,-1,-1;1",
                                   "--window=0,0,1e-6,1e-6", "--px", "400,400"], 2),
+        # an empty --series is a series to parse, not an absent one
+        "empty-series": (["--series", ""], 2),
+        "chain-empty-series": (["--overlay", "chain", "--series", ""], 2),
     }
 
     @pytest.fixture
     def no_level_walk(self, monkeypatch):
+        # every node of every walk, whole or in blocks, is computed by _fold
         def walked(*args, **kwargs):
             raise AssertionError("a level was walked before the refusal")
 
-        monkeypatch.setattr(ifs, "level_blocks", walked)
-        monkeypatch.setattr(ifs, "level_nodes", walked)
+        monkeypatch.setattr(ifs, "_fold", walked)
 
     @pytest.mark.parametrize("case", sorted(REFUSALS))
     def test_refusal_walks_no_level(self, tmp_path, no_level_walk, case):
@@ -624,6 +627,27 @@ class TestCertify:
         payload = json.loads(out.read_text())["payload"]
         assert payload["verdict"] == "failed"
         assert payload["failure_reasons"]
+
+    def test_period10_m0_target(self, tmp_path):
+        # 20 binary chain levels fit the walker's ceiling of 22
+        out = tmp_path / "cert10.json"
+        assert main([
+            "certify", "--series", "1;1,1,-1,-1,1,-1,-1,1,1,-1", "--seed=-0.281,0.596",
+            "--set", "m0", "--out", str(out),
+        ]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["verdict"] == "accessible_M0"
+        assert [lv["n"] for lv in payload["geometric"]["levels"]] == list(range(20))
+
+    def test_period10_m_target_refused(self, tmp_path, capsys):
+        # 20 ternary chain levels do not fit the walker's ceiling of 14
+        out = tmp_path / "cert10.json"
+        assert main([
+            "certify", "--series", "1;1,1,-1,-1,1,-1,-1,1,1,-1", "--seed=-0.281,0.596",
+            "--set", "m", "--out", str(out),
+        ]) == 3
+        assert not out.exists()
+        assert "LevelTooDeep" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path):
         code = main([

@@ -55,5 +55,5 @@ def test_command_line_runs(tmp_path, monkeypatch, capsys, line):
 
 def test_command_block_is_found():
     assert [line.split()[1] for line in _command_lines()] == [
-        "render", "attractor", "attractor", "certify", "landmarks",
+        "render", "attractor", "attractor", "certify", "certify", "landmarks",
     ]
