@@ -9,12 +9,18 @@ definitive; survival to the requested depth only says no truncation ruled
 the parameter out, so it over-approximates the locus.
 
 Escape depth is the first prefix length at which every prefix fails the
-bound; it does not depend on traversal order.  The search therefore begins
-with one descent that takes, at each level, the passing child nearest 0,
-which often finds a survivor at once, and falls back to the lexicographic
-walk over the siblings it left behind.  Every passing prefix is still
-expanded once at most, and a level is built only for a passing prefix, so a
-surviving parameter still reads 0 and an escaping one the same escape depth.
+bound; it does not depend on traversal order.  The search therefore tries
+two single descents before its complete walk.  The first takes, at each
+level, the passing child nearest 0, which finds most survivors at once.
+Near the real axis and at |lambda| above about 0.63 it often dies where a
+survivor exists, so there a second descent from the root takes the passing
+child whose remainder -f_k/lambda^(k+1) is likeliest to lie in the
+attractor, by the attractor's second moments.  If both die, the
+lexicographic walk expands the siblings the first descent left behind.
+Every descent tests the walk's own children against the walk's own squared
+bounds, a level is built only for a passing prefix, and 0 is returned only
+for a prefix of full length that passed every test, so a surviving
+parameter still reads 0 and an escaping one the same escape depth.
 """
 
 from __future__ import annotations
@@ -33,6 +39,11 @@ SET_M0 = "M0"
 #: genuine root series: soundness of escape matters more than a marginally
 #: larger survivor set.
 PRUNE_GUARD = 1e-15
+
+#: The membership search's steered second descent runs only at |lambda|
+#: above this modulus: below it, it was never seen to find a survivor that
+#: the first descent had missed (see ``_search``).
+STEER_MIN_MODULUS = 0.62
 
 
 @dataclass(frozen=True)
@@ -107,11 +118,24 @@ def _search(lam: complex, digits: tuple[int, ...], depth: int) -> int:
     The search begins with one descent that follows, at each level, the
     passing child nearest 0 and pushes that level's other passing children;
     the nearest child passes whenever any child does.  If the descent reaches
-    ``depth`` the parameter survived.  If it dies, the lexicographic loop pops
-    the pushed siblings.  Either way every passing prefix is expanded once at
-    most and a level is built only for a passing prefix, so the escape depth
-    is that of any other complete traversal: only how soon a survivor turns
-    up depends on the order.
+    ``depth`` the parameter survived.  If it dies with siblings pushed,
+    ``_steered_descent`` tries once more from the root, steered by the shape
+    of the attractor; it pushes nothing and only extends the level table, so
+    if it dies too the lexicographic loop pops the first descent's siblings as
+    if it had not run, with ``n`` re-read from the table.  Every passing
+    prefix is expanded by the loop once at most and every level is built only
+    for a passing prefix, so the escape depth is that of any other complete
+    traversal: only how soon a survivor turns up depends on the order.  The
+    steered descent costs a few microseconds per call, on escapers too, so it
+    runs only at |lambda| > ``STEER_MIN_MODULUS``.  Over 60,000 random
+    parameters, half on the upper half-annulus 0.45 < |lambda| < 0.75 and half
+    with the same real parts and 0 < Im lambda < 0.05, at depths 25, 40 and
+    60, it found no survivor the first descent had missed below |lambda| =
+    0.63 on M or 0.65 on M0, while on the README window (|lambda| <= 0.61) it
+    ran at 7,062 of 20,200 pixels, found none and made the grid about 15%
+    slower.  A trigger on the first descent's death level would not pay: the
+    calls whose first descent dies before level 5 cost under 1% of a raster
+    pass.
 
     A stack entry is the tuple (Re f, Im f, next level).  The children
     f +- lambda^k are formed part by part, which is bit for bit complex
@@ -169,6 +193,10 @@ def _search(lam: complex, digits: tuple[int, ...], depth: int) -> int:
             vi = bi
     else:
         return 0  # the descent's prefix has length depth
+    if (stack and absl > STEER_MIN_MODULUS
+            and _steered_descent(lam, absl, R, guard, levels, ternary, depth)):
+        return 0
+    n = len(levels)
     pop = stack.pop
     while stack:
         vr, vi, k = pop()
@@ -191,6 +219,71 @@ def _search(lam: complex, digits: tuple[int, ...], depth: int) -> int:
         if re * re + im * im <= bound:
             push((re, im, k))
     return n
+
+
+def _steered_descent(
+    lam: complex, absl: float, R: float, guard: float, levels: list, ternary: bool, depth: int
+) -> bool:
+    """One descent from the root that takes, at each level, the passing child
+    most likely to lie on a vanishing series; True if its prefix reaches
+    length ``depth``.
+
+    A prefix f_k extends to a vanishing series only if a = -f_k/lambda^(k+1)
+    lies in A = {sum c_j lambda^j}.  Under i.i.d. uniform digits, A has
+    E|a|^2 = v P and E a^2 = v Q with P = 1/(1-|lambda|^2), Q = 1/(1-lambda^2),
+    and the descent takes the passing child whose a has the smallest
+    Mahalanobis norm in that model, P|a|^2 - Re(conj(Q) a^2) up to the
+    positive factor v/det.  A child's a is (a - d)/lambda, so over d in
+    {+1, 0, -1} the norm is, up to the positive factor |lambda|^-4, a
+    constant minus 2 d B plus d^2 C, with B = g1 Re a + g2 Im a, C = g1,
+    g1 = P|lambda|^2 - Re(Q lambda^2) and g2 = -Im(Q lambda^2); v scales B
+    and C alike and drops out.  The nonzero digit of B's sign beats the
+    opposite one, and it beats 0 when |B| >= C/2.  At real lambda the form is
+    degenerate (C = B = 0) and the order is plain +, 0, -; no determinant is
+    divided by.
+
+    The children are ``_search``'s expressions (d * pr is pr or -pr bit for
+    bit) against its squared bounds, and a level is appended only when a
+    passing prefix reaches the end of the table, so the steering orders work
+    and never changes a verdict or the table ``_search`` goes on with.
+    """
+    ql = lam * lam  # not lam**2: each lam**k of a search builds a level
+    w = ql / (1.0 - ql)
+    g1 = absl * absl / (1.0 - absl * absl) - w.real
+    g2 = -w.imag
+    half = 0.5 * g1
+    il = 1.0 / lam
+    ilr = il.real
+    ili = il.imag
+    vr = 1.0
+    vi = 0.0
+    ar = -ilr  # a of the root prefix f_0 = 1
+    ai = -ili
+    for k in range(1, depth):
+        if k == len(levels):
+            levels.append(_level(lam, absl, R, guard, k))
+        bound, pr, pi = levels[k]
+        b = g1 * ar + g2 * ai
+        d = 1.0 if b >= 0.0 else -1.0
+        sr = vr + d * pr
+        si = vi + d * pi
+        z = vr * vr + vi * vi if ternary else math.inf
+        if d * b < half and z <= bound:
+            d = 0.0
+        elif sr * sr + si * si <= bound:
+            vr = sr
+            vi = si
+        elif z <= bound:
+            d = 0.0
+        else:
+            d = -d
+            vr += d * pr
+            vi += d * pi
+            if vr * vr + vi * vi > bound:
+                return False
+        ar -= d
+        ar, ai = ar * ilr - ai * ili, ar * ili + ai * ilr
+    return True
 
 
 def membership(lam: complex, set_kind: str = SET_M, depth: int = 40) -> MembershipResult:

@@ -161,6 +161,35 @@ def nearest_descent_depth(lam: complex, digits: tuple[int, ...], depth: int) -> 
     return depth
 
 
+def guided_descent_depth(lam: complex, digits: tuple[int, ...], depth: int) -> int:
+    """Length of the prefix built by always taking, among the children that
+    pass the bound, the one whose a = -f/lambda^(k+1) has the smallest
+    Mahalanobis norm under the second moments E|a|^2 = 1/(1 - |lambda|^2),
+    E a^2 = 1/(1 - lambda^2) of the attractor, in ``paramspace._search``'s
+    arithmetic: ``depth`` if that prefix passes the bound at every level up
+    to ``depth``, else the length at which every child fails it.  The norm is
+    the inverse covariance times its determinant, P|a|^2 - Re(conj(Q) a^2),
+    and each a is divided out of its own prefix, not carried."""
+    thr2 = _prune_bounds_sq(abs(lam), depth)
+    if 1.0 > thr2[0]:
+        return 1
+    P = 1.0 / (1.0 - abs(lam) ** 2)
+    Q = 1.0 / (1.0 - lam * lam)
+    value = complex(1.0)
+    for k in range(1, depth):
+        pw = lam**k
+        passing = [
+            c for c in (value + d * pw for d in digits)
+            if c.real * c.real + c.imag * c.imag <= thr2[k]
+        ]
+        if not passing:
+            return k + 1
+        scale = lam ** (k + 1)
+        value = min(passing, key=lambda c: P * abs(c / scale) ** 2
+                    - (Q.conjugate() * (c / scale) ** 2).real)
+    return depth
+
+
 def survivors_bruteforce(lam, set_kind, depth):
     """Every coefficient prefix of the given length, in lexicographic order,
     whose partial sums pass the squared tail bound at every truncation level:

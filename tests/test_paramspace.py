@@ -18,6 +18,7 @@ from oracles import (
     escape_depth_bruteforce,
     escape_depth_reference,
     exhaustive_verdict,
+    guided_descent_depth,
     nearest_descent_depth,
     survivors_bruteforce,
 )
@@ -129,8 +130,8 @@ class TestFirstDescent:
 
     @pytest.mark.parametrize("value,set_kind,descent,escape", [
         (0.056 + 0.749j, "M", 40, 0),  # the descent itself reaches depth
-        (0.616 + 0.315j, "M", 6, 0),  # it dies; the loop finds a survivor
-        (-0.452 + 0.477j, "M", 21, 0),  # it dies deep; the loop still finds one
+        (0.616 + 0.315j, "M", 6, 0),  # it dies; the steered descent finds a survivor
+        (-0.452 + 0.477j, "M", 21, 0),  # it dies deep; the steered descent finds one
         (0.673 + 0.141j, "M0", 9, 10),  # it dies and the parameter escapes
     ])
     def test_pinned_parameters(self, value, set_kind, descent, escape):
@@ -148,6 +149,67 @@ class TestFirstDescent:
     )
     def test_equals_reference(self, modulus, angle, depth, digits):
         lam = cmath.rect(modulus, angle)
+        want = escape_depth_reference(lam, digits, depth, budget=100_000)
+        assume(want is not None)
+        assert paramspace._search(lam, digits, depth) == want
+
+
+def _steered_reaches(lam, digits, depth):
+    """Whether ``_search``'s second descent, run alone from a fresh level
+    table, reaches ``depth``."""
+    absl = abs(lam)
+    R = 1.0 / (1.0 - absl)
+    guard = paramspace.PRUNE_GUARD * R
+    levels = [paramspace._level(lam, absl, R, guard, 0)]
+    return paramspace._steered_descent(lam, absl, R, guard, levels, len(digits) == 3, depth)
+
+
+class TestGuidedDescent:
+    """The second descent, steered by the second moments of the attractor,
+    runs when the nearest-to-zero descent dies: it changes which survivor is
+    found first, never the escape depth.  Both oracle descents run to depth
+    40; a result of 40 means a prefix of at least 39 levels passed."""
+
+    @pytest.mark.parametrize("value,set_kind,depth,nearest,guided,escape", [
+        # the costliest pixel of the acceptance window: the steered descent
+        # reaches depth where the first one dies
+        (0.699703125 + 0.0027656249999999938j, "M", 25, 19, 40, 0),
+        (0.666 + 0.022j, "M", 40, 11, 22, 0),  # both die; the loop finds a survivor
+        (0.621 + 0.4j, "M0", 40, 32, 29, 0),  # both die; the loop finds a survivor
+        (0.667 + 0.003j, "M", 40, 16, 24, 26),  # both die and the parameter escapes
+        (0.524 + 0.479j, "M0", 40, 29, 30, 37),  # both die and the parameter escapes
+    ])
+    def test_pinned_parameters(self, value, set_kind, depth, nearest, guided, escape):
+        digits = paramspace._digits(set_kind)
+        assert nearest_descent_depth(value, digits, 40) == nearest
+        assert guided_descent_depth(value, digits, 40) == guided
+        assert _steered_reaches(value, digits, depth) == (guided == 40)
+        assert escape_depth_reference(value, digits, depth) == escape
+        assert paramspace._search(value, digits, depth) == escape
+
+    @pytest.mark.parametrize("digits", [(-1, 0, 1), (-1, 1)])
+    def test_steering_is_the_oracle_ranking(self, digits):
+        # the oracle ranks each child by its own Mahalanobis norm; the package
+        # by one linear form against C/2, carrying a from level to level
+        rng = np.random.default_rng(31)
+        for i in range(200):
+            if i % 2:
+                lam = complex(rng.uniform(0.55, 0.75), rng.uniform(0.0005, 0.06))
+            else:
+                lam = cmath.rect(rng.uniform(0.5, 0.8), rng.uniform(0.05, 3.1))
+            # at depth 41 the oracle reads 41 exactly when 40 levels passed
+            reached = guided_descent_depth(lam, digits, 41) == 41
+            assert _steered_reaches(lam, digits, 40) == reached
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.55, 0.75, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 0.03, exclude_min=True, exclude_max=True),
+        st.integers(1, 40),
+        st.sampled_from([(-1, 0, 1), (-1, 1)]),
+    )
+    def test_equals_reference_near_the_real_axis(self, re, im, depth, digits):
+        lam = complex(re, im)
         want = escape_depth_reference(lam, digits, depth, budget=100_000)
         assume(want is not None)
         assert paramspace._search(lam, digits, depth) == want

@@ -3,16 +3,20 @@
 ``tests/data/ppm_golden.json`` holds, for each case below, the sha256 of the
 PPM that ``ifslab.cli.main`` writes and, for ``render``, the sha256 of the
 report payload without its ``output`` path (the one field that names where
-the run wrote).  The cases are the README window (200x101, depth 40) and the
-acceptance window (128x128, depth 25) on M and M0, the rectangle attractor
-at lambda = i/sqrt(2), landmark 5 with its level-6 instar and its chain
-overlays, and two attractors shaped like the benchmark's: a ternary one at
-depth 12 in its default window, every block of nodes inside the image, and
-a binary zoom at depth 20 whose 128 blocks lie 7 wholly inside the window,
-111 wholly outside and 10 across its edge.  The first seven cases were
-generated at commit 57315f1, before condition (iii) became a pruned walk,
-and the last two at commit 9e77426, before the attractor raster painted
-whole blocks without a mask, with
+the run wrote).  The cases are the README window (200x101, depth 40), the
+acceptance window (128x128, depth 25) and the near-real window (48x16,
+depth 40) on M and M0, the rectangle attractor at lambda = i/sqrt(2),
+landmark 5 with its level-6 instar and its chain overlays, and two
+attractors shaped like the benchmark's: a ternary one at depth 12 in its
+default window, every block of nodes inside the image, and a binary zoom at
+depth 20 whose 128 blocks lie 7 wholly inside the window, 111 wholly outside
+and 10 across its edge.  The README, acceptance, rectangle and landmark
+cases were generated at commit 57315f1, before condition (iii) became a
+pruned walk; the two benchmark-shaped attractors at commit 9e77426, before
+the attractor raster painted whole blocks without a mask; and the two
+near-real renders, whose surviving pixels are mostly found after the
+membership search's first descent has died, at commit 3c68759, before that
+search gained its steered second descent.  The file is written with
 
     PYTHONPATH=src python tests/test_ppm_golden.py
 
@@ -43,6 +47,10 @@ CASES = {
                         "--depth", "25", "--set", "m"],
     "render/accept/m0": ["render", "--window=0.0,0.0,0.708,0.708", "--px", "128,128",
                          "--depth", "25", "--set", "m0"],
+    "render/near-real/m": ["render", "--window=0.55,0,0.72,0.06", "--px", "48,16",
+                           "--depth", "40", "--set", "m"],
+    "render/near-real/m0": ["render", "--window=0.55,0,0.72,0.06", "--px", "48,16",
+                            "--depth", "40", "--set", "m0"],
     "attractor/rectangle": ["attractor", "--seed", "0.0,0.7071067811865475", "--set", "m0",
                             "--depth", "16", "--px", "400,300",
                             "--window=-2.2,-1.6,2.2,1.6"],

@@ -47,7 +47,9 @@ def test_library_tour_runs_and_its_comments_hold():
         assert str(eval(expression, namespace)).endswith(":" + comment.strip())
 
 
-@pytest.mark.parametrize("line", _command_lines(), ids=lambda line: line.split()[1])
+# each id is the line's whole argument list, so adding a line renames no test
+@pytest.mark.parametrize("line", _command_lines(),
+                         ids=lambda line: " ".join(shlex.split(line)[1:]))
 def test_command_line_runs(tmp_path, monkeypatch, capsys, line):
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(line)[1:]) == 0
@@ -55,5 +57,5 @@ def test_command_line_runs(tmp_path, monkeypatch, capsys, line):
 
 def test_command_block_is_found():
     assert [line.split()[1] for line in _command_lines()] == [
-        "render", "attractor", "attractor", "certify", "certify", "landmarks",
+        "render", "render", "attractor", "attractor", "certify", "certify", "landmarks",
     ]
