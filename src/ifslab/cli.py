@@ -257,23 +257,19 @@ def _paint(rgb: np.ndarray, pixels, color) -> None:
     np.copyto(rgb.reshape(-1, 3), np.array(color, dtype=np.uint8), where=hit[:, None])
 
 
-def _point_pixels(blocks, window, width: int, height: int):
-    """The (cols, rows) pairs for ``_paint`` of the points of each block:
-    floor((x - x0) * W / (x1 - x0)) and floor((y1 - y) * H / (y1 - y0)),
-    operation by operation in that order, in two buffers that every block
-    reuses, so a pair is valid until the next one is drawn.
-
-    The buffers hold ``ifs._BLOCK_NODES`` points, the largest block, and
-    are freed when the last pair has been painted."""
+def _point_pixels(points, window, width: int, height: int):
+    """The (cols, rows) pairs for ``_paint`` of each (x, y) pair of point
+    parts from ``ifs.level_points``: floor((x - x0) * W / (x1 - x0)) and
+    floor((y1 - y) * H / (y1 - y0)), operation by operation in that order,
+    in the pair's own arrays, so a pair is valid until the next one is
+    drawn."""
     x0, y0, x1, y1 = window
-    buffers = np.empty((2, ifs._BLOCK_NODES))
-    for samples in blocks:
-        cols, rows = buffers[:, :samples.size]
-        np.subtract(samples.real, x0, out=cols)
+    for cols, rows in points:
+        cols -= x0
         cols *= width
         cols /= x1 - x0
         np.floor(cols, out=cols)
-        np.subtract(y1, samples.imag, out=rows)
+        np.subtract(y1, rows, out=rows)
         rows *= height
         rows /= y1 - y0
         np.floor(rows, out=rows)
@@ -363,9 +359,9 @@ def cmd_attractor(
     circles, color = _overlay_circles(
         lam, alphabet, window, width, height, overlay, overlay_level, series, periods
     )
-    blocks = ifs.level_blocks(lam, depth, alphabet)
+    points = ifs.level_points(lam, depth, alphabet)
     rgb = np.full((height, width, 3), 255, dtype=np.uint8)
-    _paint(rgb, _point_pixels(blocks, window, width, height), (0, 0, 0))
+    _paint(rgb, _point_pixels(points, window, width, height), (0, 0, 0))
     if circles:
         _paint(rgb, (
             pixels for centers, radius, steps in circles

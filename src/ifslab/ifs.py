@@ -9,8 +9,12 @@ shrink onto the attractor.  Enumeration is always lexicographic with
 minus < center < plus, so outputs are deterministic.  Whole levels
 (``level_nodes``) and bounded blocks of a level (``level_blocks``) are built
 by one fold over a table of letter weights, so a node has the same bits
-either way.  The blocks stream the certificate's clearance and the attractor
-points and instar circles of the command line, flat in memory.
+either way.  The blocks come from a staged walk: each grows the last few
+levels from a long run of prefixes that the walk of a shallower level
+yields.  They stream the certificate's clearance and the instar circles of
+the command line, flat in memory.  The attractor points need no order, so
+``level_points`` yields them as the real and imaginary parts of each block,
+the last two levels added part by part, with the bits of the fold.
 """
 
 from __future__ import annotations
@@ -73,9 +77,15 @@ def node(word: Word, lam: complex) -> complex:
     return _power_sums(word.letters, lam)[0][-1]
 
 
-#: Nodes per block of ``_level_blocks``; its working memory is a few arrays
-#: of this many complex values at any level.
+#: Nodes per block of the level walks; a walk's working memory stays under
+#: 2.5 arrays of this many complex values at any level (``_level_blocks``).
+#: At least 3, so that one prefix grown by a ternary letter fits in a block.
 _BLOCK_NODES = 1 << 14
+
+#: Levels that each stage of ``_level_blocks`` grows, by alphabet size.
+#: More levels mean fewer stages but shorter runs of prefixes; these were
+#: the fastest on a 2-core x86_64 machine with numpy 2.4.
+_STAGE_LEVELS = {2: 4, 3: 2}
 
 
 def _letter_weights(lam: complex, level: int, alphabet: str) -> tuple[np.ndarray, list]:
@@ -92,12 +102,14 @@ def _letter_weights(lam: complex, level: int, alphabet: str) -> tuple[np.ndarray
     return signs, weights
 
 
-def _fold(nodes: np.ndarray, weights: list[list], scratch: tuple | None = None) -> np.ndarray:
+def _fold(nodes: np.ndarray, weights: list[list], out: np.ndarray | None = None,
+          spare: np.ndarray | None = None) -> np.ndarray:
     """Extend every node by one letter per entry of ``weights``.  Every node
     of a level is built by this one fold, so growing a block of prefixes
-    gives the bits of growing the whole level.  With ``scratch``, a pair of
-    arrays large enough for the last level, the grown levels alternate
-    between the two instead of new arrays.
+    gives the bits of growing the whole level.  With ``out`` and ``spare``,
+    arrays at least as large as the last level and the one before it, the
+    last level is grown in ``out`` and the levels before it alternate
+    between ``spare`` and ``out`` instead of new arrays.
 
     A level is the (prefix, letter) grid of the sums node + weight, filled
     one letter's column at a time: one pass over the prefix array each,
@@ -106,11 +118,14 @@ def _fold(nodes: np.ndarray, weights: list[list], scratch: tuple | None = None) 
     i // k plus letter i % k, for k letters: lexicographic order."""
     for i, steps in enumerate(weights):
         size = nodes.size * len(steps)
-        out = np.empty(size, np.complex128) if scratch is None else scratch[i % 2][:size]
-        grid = out.reshape(nodes.size, len(steps))
+        if out is None:
+            grown = np.empty(size, np.complex128)
+        else:
+            grown = (out if (len(weights) - i) % 2 else spare)[:size]
+        grid = grown.reshape(nodes.size, len(steps))
         for j, step in enumerate(steps):
             np.add(nodes, step, out=grid[:, j])
-        nodes = out
+        nodes = grown
     return nodes
 
 
@@ -128,26 +143,70 @@ def level_nodes(
     return _fold(*_letter_weights(complex(lam), level, alphabet))
 
 
-def _level_blocks(signs: np.ndarray, weights: list):
+def _runs(blocks, size: int):
+    """The entries of ``blocks`` in consecutive runs of ``size``, the last
+    one shorter.  A run that straddles two blocks is copied to a buffer of
+    its own, so every run has the same size and so has every block grown
+    from one: a consumer that sizes its arrays to a block allocates once."""
+    carry, held = None, 0
+    for block in blocks:
+        start = 0
+        if held:
+            start = min(size - held, block.size)
+            carry[held:held + start] = block[:start]
+            held += start
+            if held < size:
+                continue
+            yield carry
+            held = 0
+        while start + size <= block.size:
+            yield block[start:start + size]
+            start += size
+        if start < block.size:
+            if carry is None:
+                carry = np.empty(size, block.dtype)
+            held = block.size - start
+            carry[:held] = block[start:]
+    if held:
+        yield carry[:held]
+
+
+def _level_blocks(signs: np.ndarray, weights: list, limit: int | None = None,
+                  spare: np.ndarray | None = None):
     """Nodes sum a_j lambda^j of all words a_0..a_level over ``signs``, with
     the weights a_j lambda^j of ``_letter_weights``, in lexicographic order,
-    as consecutive blocks of at most _BLOCK_NODES.
+    as consecutive blocks of at most ``limit`` (by default _BLOCK_NODES).
 
-    The top levels are grown once, and each block grows a run of those
-    prefixes to the leaves by the same fold and weights: the bits of
-    ``level_nodes``.  A block's levels alternate between two arrays allocated
-    once per walk, so a block is valid until the next one is drawn: new
-    arrays at every block made the C heap shrink and grow again."""
+    A level that fits in one block is grown whole.  A deeper one is walked
+    in stages: each block grows the last m levels (``_STAGE_LEVELS``, fewer
+    when k^m would exceed a block) by the same fold and weights from a run of
+    limit // k^m prefixes, which the walk of the level m above yields in
+    blocks of at most limit // k of its own.  So no fold below the top
+    starts from a handful of prefixes, every node has the bits of
+    ``level_nodes``, and the stages above hold half a block between them
+    for a ternary walk, one block for a binary one.
+
+    Each stage grows its blocks in one array of its own, and the levels
+    inside a fold go to ``spare``, _BLOCK_NODES // k nodes shared by all
+    stages, since a fold's inner levels are dead once it returns; a block is
+    valid until the next one is drawn.  The arrays are allocated once per
+    walk: new arrays at every block made the C heap shrink and grow again."""
     k, level = signs.size, len(weights)
-    depth = 0
-    while k ** (level - depth) > _BLOCK_NODES:
-        depth += 1
-    prefixes = _fold(signs, weights[:depth])
-    step = _BLOCK_NODES // k ** (level - depth)
-    size = min(step, prefixes.size) * k ** (level - depth)
-    scratch = (np.empty(size, np.complex128), np.empty(size, np.complex128))
-    for start in range(0, prefixes.size, step):
-        yield _fold(prefixes[start:start + step], weights[depth:], scratch)
+    if limit is None:
+        limit = _BLOCK_NODES
+    if spare is None:
+        spare = np.empty(_BLOCK_NODES // k, np.complex128)
+    if k ** (level + 1) <= limit:
+        yield _fold(signs, weights, np.empty(k ** (level + 1), np.complex128), spare)
+        return
+    m = _STAGE_LEVELS[k]
+    while k ** m > limit:
+        m -= 1
+    run = limit // k ** m
+    out = np.empty(run * k ** m, np.complex128)
+    above = _level_blocks(signs, weights[:-m], max(limit // k, k), spare)
+    for prefixes in _runs(above, run):
+        yield _fold(prefixes, weights[-m:], out, spare)
 
 
 def level_blocks(lam: complex, level: int, alphabet: str = TERNARY):
@@ -157,6 +216,52 @@ def level_blocks(lam: complex, level: int, alphabet: str = TERNARY):
 
     The level is checked here, before the first block is asked for."""
     return _level_blocks(*_letter_weights(complex(lam), level, alphabet))
+
+
+def _level_points(signs: np.ndarray, weights: list):
+    """The parts of the nodes of ``_level_blocks(signs, weights)`` in blocks
+    of at most _BLOCK_NODES, not in order.
+
+    Each block starts from a run of _BLOCK_NODES // k^2 prefixes two levels
+    up from the staged walk (the one root 0 above level 0; one level up when
+    k^2 would exceed a block), whose parts are copied once to two float
+    arrays.  Each of the last two levels is then grown part by part and
+    letter by letter: letter j's nodes are the parts of the level above plus
+    the parts of its weight, written to the j-th stretch of two more arrays.
+    Complex addition is componentwise, so these are the bits of the fold,
+    but no complex node is written for them and no strided part is read more
+    than once."""
+    k, grown = signs.size, 2
+    while k ** grown > _BLOCK_NODES:
+        grown -= 1
+    weights = [list(signs)] + weights
+    head, tail = weights[:-grown], weights[-grown:]
+    prefixes = _level_blocks(signs, head[1:]) if head else [np.zeros(1, np.complex128)]
+    steps = [[(float(w.real), float(w.imag)) for w in level] for level in tail]
+    run = _BLOCK_NODES // k ** len(tail)
+    parts = [(np.empty(run * k ** i), np.empty(run * k ** i)) for i in range(len(tail) + 1)]
+    for nodes in _runs(prefixes, run):
+        n = nodes.size
+        xs, ys = parts[0][0][:n], parts[0][1][:n]
+        np.copyto(xs, nodes.real)
+        np.copyto(ys, nodes.imag)
+        for level, (gx, gy) in zip(steps, parts[1:]):
+            for j, (wx, wy) in enumerate(level):
+                np.add(xs, wx, out=gx[j * n:(j + 1) * n])
+                np.add(ys, wy, out=gy[j * n:(j + 1) * n])
+            n *= k
+            xs, ys = gx[:n], gy[:n]
+        yield xs, ys
+
+
+def level_points(lam: complex, level: int, alphabet: str = TERNARY):
+    """The nodes of ``level_nodes(lam, level, alphabet)``, bit for bit but not
+    in order, as pairs (x, y) of contiguous float64 arrays of their real and
+    imaginary parts, at most ``_BLOCK_NODES`` nodes per pair.  A pair is
+    overwritten by the next one, and its consumer may overwrite it too.
+
+    The level is checked here, before the first pair is asked for."""
+    return _level_points(*_letter_weights(complex(lam), level, alphabet))
 
 
 def nodal_radius(lam: complex, level: int) -> float:

@@ -41,9 +41,9 @@ SET_M0 = "M0"
 PRUNE_GUARD = 1e-15
 
 #: The membership search's steered second descent runs only at |lambda|
-#: above this modulus: below it, it was never seen to find a survivor that
-#: the first descent had missed (see ``_search``).
-STEER_MIN_MODULUS = 0.62
+#: above this modulus, one per locus: below it, it was never seen to find a
+#: survivor that the first descent had missed (see ``_search``).
+STEER_MIN_MODULUS = {SET_M: 0.62, SET_M0: 0.65}
 
 
 @dataclass(frozen=True)
@@ -127,15 +127,17 @@ def _search(lam: complex, digits: tuple[int, ...], depth: int) -> int:
     for a passing prefix, so the escape depth is that of any other complete
     traversal: only how soon a survivor turns up depends on the order.  The
     steered descent costs a few microseconds per call, on escapers too, so it
-    runs only at |lambda| > ``STEER_MIN_MODULUS``.  Over 60,000 random
-    parameters, half on the upper half-annulus 0.45 < |lambda| < 0.75 and half
-    with the same real parts and 0 < Im lambda < 0.05, at depths 25, 40 and
-    60, it found no survivor the first descent had missed below |lambda| =
-    0.63 on M or 0.65 on M0, while on the README window (|lambda| <= 0.61) it
-    ran at 7,062 of 20,200 pixels, found none and made the grid about 15%
-    slower.  A trigger on the first descent's death level would not pay: the
-    calls whose first descent dies before level 5 cost under 1% of a raster
-    pass.
+    runs only at |lambda| above the locus' ``STEER_MIN_MODULUS``, 0.62 on M
+    and 0.65 on M0.  Over 60,000 random parameters (the sample of
+    ``BENCH_20.json``), half on the upper half-annulus 0.45 < |lambda| < 0.75
+    and half with the same real parts and 0 < Im lambda < 0.05, at depths 25,
+    40 and 60, it found no survivor the first descent had missed below
+    |lambda| = 0.63 on M or 0.65 on M0: on M0 it ran 741 times at
+    0.61 < |lambda| < 0.65 and rescued no pixel.  On the README window
+    (|lambda| <= 0.61) it ran at 7,062 of 20,200 pixels, found none and made
+    the grid about 15% slower.  A trigger on the first descent's death level
+    would not pay: the calls whose first descent dies before level 5 cost
+    under 1% of a raster pass.
 
     A stack entry is the tuple (Re f, Im f, next level).  The children
     f +- lambda^k are formed part by part, which is bit for bit complex
@@ -193,7 +195,7 @@ def _search(lam: complex, digits: tuple[int, ...], depth: int) -> int:
             vi = bi
     else:
         return 0  # the descent's prefix has length depth
-    if (stack and absl > STEER_MIN_MODULUS
+    if (stack and absl > STEER_MIN_MODULUS[SET_M if ternary else SET_M0]
             and _steered_descent(lam, absl, R, guard, levels, ternary, depth)):
         return 0
     n = len(levels)

@@ -42,6 +42,20 @@ def level_nodes_broadcast(lam, level, alphabet):
     return grow_nodes_broadcast(signs, complex(lam), level, signs)[0]
 
 
+def level_chunks_broadcast(lam, level, alphabet, prefixes=64):
+    """The nodes of ``level_nodes_broadcast(lam, level, alphabet)``, bit for
+    bit and in order, as consecutive chunks: the first half of the levels is
+    grown whole, then each run of ``prefixes`` of its nodes by the rest, with
+    the same fold and running power, so that a deep level is never held
+    whole."""
+    signs = np.array((-1, 0, 1) if alphabet == "ternary" else (-1, 1), dtype=np.complex128)
+    lam, top = complex(lam), level // 2
+    heads, power = grow_nodes_broadcast(signs, lam, top, signs)
+    for start in range(0, heads.size, prefixes):
+        yield grow_nodes_broadcast(heads[start:start + prefixes], lam, level - top, signs,
+                                   power)[0]
+
+
 def hausdorff_bruteforce(E, F):
     """O(n*m) max-min Hausdorff distance between complex point sets."""
     E = np.asarray(E, dtype=complex)
@@ -144,9 +158,10 @@ def escape_depth_reference(
 
 def nearest_descent_depth(lam: complex, digits: tuple[int, ...], depth: int) -> int:
     """Length of the prefix built by always taking the child nearest 0, in
-    ``paramspace._search``'s arithmetic: ``depth`` if that prefix passes the
-    bound at every level up to ``depth``, else the length of the first child
-    that fails it."""
+    ``paramspace._search``'s arithmetic: 0 if that prefix passes the bound
+    at every level up to ``depth``, as ``_search`` reads a survivor, else the
+    length of the first child that fails it (``depth`` when it fails at the
+    last level)."""
     thr2 = _prune_bounds_sq(abs(lam), depth)
     value = complex(1.0)
     if 1.0 > thr2[0]:
@@ -158,7 +173,7 @@ def nearest_descent_depth(lam: complex, digits: tuple[int, ...], depth: int) -> 
         )
         if value.real * value.real + value.imag * value.imag > thr2[k]:
             return k + 1
-    return depth
+    return 0
 
 
 def guided_descent_depth(lam: complex, digits: tuple[int, ...], depth: int) -> int:
@@ -166,8 +181,9 @@ def guided_descent_depth(lam: complex, digits: tuple[int, ...], depth: int) -> i
     pass the bound, the one whose a = -f/lambda^(k+1) has the smallest
     Mahalanobis norm under the second moments E|a|^2 = 1/(1 - |lambda|^2),
     E a^2 = 1/(1 - lambda^2) of the attractor, in ``paramspace._search``'s
-    arithmetic: ``depth`` if that prefix passes the bound at every level up
-    to ``depth``, else the length at which every child fails it.  The norm is
+    arithmetic: 0 if that prefix passes the bound at every level up to
+    ``depth``, as ``_search`` reads a survivor, else the length at which every
+    child fails it (``depth`` when they fail at the last level).  The norm is
     the inverse covariance times its determinant, P|a|^2 - Re(conj(Q) a^2),
     and each a is divided out of its own prefix, not carried."""
     thr2 = _prune_bounds_sq(abs(lam), depth)
@@ -187,7 +203,7 @@ def guided_descent_depth(lam: complex, digits: tuple[int, ...], depth: int) -> i
         scale = lam ** (k + 1)
         value = min(passing, key=lambda c: P * abs(c / scale) ** 2
                     - (Q.conjugate() * (c / scale) ** 2).real)
-    return depth
+    return 0
 
 
 def survivors_bruteforce(lam, set_kind, depth):

@@ -129,7 +129,7 @@ class TestFirstDescent:
     depth."""
 
     @pytest.mark.parametrize("value,set_kind,descent,escape", [
-        (0.056 + 0.749j, "M", 40, 0),  # the descent itself reaches depth
+        (0.056 + 0.749j, "M", 0, 0),  # the descent itself reaches depth
         (0.616 + 0.315j, "M", 6, 0),  # it dies; the steered descent finds a survivor
         (-0.452 + 0.477j, "M", 21, 0),  # it dies deep; the steered descent finds one
         (0.673 + 0.141j, "M0", 9, 10),  # it dies and the parameter escapes
@@ -168,12 +168,12 @@ class TestGuidedDescent:
     """The second descent, steered by the second moments of the attractor,
     runs when the nearest-to-zero descent dies: it changes which survivor is
     found first, never the escape depth.  Both oracle descents run to depth
-    40; a result of 40 means a prefix of at least 39 levels passed."""
+    40; a result of 0 means their prefix reached it."""
 
     @pytest.mark.parametrize("value,set_kind,depth,nearest,guided,escape", [
         # the costliest pixel of the acceptance window: the steered descent
         # reaches depth where the first one dies
-        (0.699703125 + 0.0027656249999999938j, "M", 25, 19, 40, 0),
+        (0.699703125 + 0.0027656249999999938j, "M", 25, 19, 0, 0),
         (0.666 + 0.022j, "M", 40, 11, 22, 0),  # both die; the loop finds a survivor
         (0.621 + 0.4j, "M0", 40, 32, 29, 0),  # both die; the loop finds a survivor
         (0.667 + 0.003j, "M", 40, 16, 24, 26),  # both die and the parameter escapes
@@ -183,7 +183,7 @@ class TestGuidedDescent:
         digits = paramspace._digits(set_kind)
         assert nearest_descent_depth(value, digits, 40) == nearest
         assert guided_descent_depth(value, digits, 40) == guided
-        assert _steered_reaches(value, digits, depth) == (guided == 40)
+        assert _steered_reaches(value, digits, depth) == (guided == 0)
         assert escape_depth_reference(value, digits, depth) == escape
         assert paramspace._search(value, digits, depth) == escape
 
@@ -197,8 +197,7 @@ class TestGuidedDescent:
                 lam = complex(rng.uniform(0.55, 0.75), rng.uniform(0.0005, 0.06))
             else:
                 lam = cmath.rect(rng.uniform(0.5, 0.8), rng.uniform(0.05, 3.1))
-            # at depth 41 the oracle reads 41 exactly when 40 levels passed
-            reached = guided_descent_depth(lam, digits, 41) == 41
+            reached = guided_descent_depth(lam, digits, 40) == 0
             assert _steered_reaches(lam, digits, 40) == reached
 
     @settings(max_examples=200, deadline=None)
