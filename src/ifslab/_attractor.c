@@ -1,0 +1,158 @@
+/* Point raster of one level of the IFS {-1 + lz, lz, 1 + lz}, built and
+   loaded by ifslab/_native.py.
+
+   ifs_attractor_hits sets hit[r * W + c] = 1 for every pixel (c, r) of a
+   W x H image that a node of the level falls on: the mask that
+   ifs.level_points, cli._point_pixels and cli._hits mark, bit for bit.
+   It walks the word tree depth first.  A node of level d is x_d = x_{d-1}
+   + w_d and y_d = y_{d-1} + w'_d from x_{-1} = y_{-1} = 0, with w_d, w'_d
+   the real and imaginary parts of its letter's weight at level d
+   (ifs._letter_weights, level 0 the letters themselves): the additions of
+   ifs._fold in its order, so every node has its bits.  A leaf (level L)
+   falls on column floor(((x - x0) * W) / (x1 - x0)) and row
+   floor(((y1 - y) * H) / (y1 - y0)), the expressions of _point_pixels in
+   their order, computed for x and y side by side in one vector of two
+   doubles (each lane an IEEE double operation), and is kept when
+   0 <= c < W and 0 <= r < H.  Unfloored, c >= 0 and c < W decide the same
+   as floored (W is an integer), the cast of a c >= 0 truncates to floor(c),
+   and NaN fails every test.
+
+   From the first level whose box spans at most 8 x 8 pixels down to the
+   level three above the leaves, each node is boxed: every leaf under it
+   lies within r_d of it in x and r'_d in y, so its pixel lies between the
+   pixels of the box corners, because each step of the pixel expressions
+   (a rounded subtraction, product and quotient by positive numbers, and
+   floor) never decreases, in x, or never increases, in y.  The subtree is
+   skipped when that pixel range lies off the image, when it is one pixel
+   (painted here: the subtree has at least one leaf), or when every pixel
+   of it inside the image is already hit.  The mask is a set, so what is
+   skipped cannot change it.  Nodes of the last two levels above the
+   leaves are not boxed: a box costs about what painting the 4 or 9
+   leaves under such a node does.
+
+   The box bound, for x (y alike, with the imaginary parts).  Let
+   u = DBL_EPSILON / 2, m_j the largest |w_j| over the letters, and
+   B = m_0 + ... + m_L.  A rounded sum is a + b times (1 + e) with
+   |e| <= u (a sum in the subnormal range is exact), so by induction
+   |x_j| <= (1 + u)^(j+1) B, and a leaf below x_d differs from
+   x_d + w_{d+1} + ... + w_L by at most u (|x_{d+1}| + ... + |x_L|)
+   <= (L - d) u (1 + u)^(L+1) B.  The kernel takes
+       r_d = (m_{d+1} + ... + m_L) + s,   s = 4 (L + 2) DBL_EPSILON B + DBL_MIN,
+   summed from the deepest level up.  The rounding of those sums and of the
+   corners x_d -/+ r_d costs at most (L + 5) u B more, and
+   (L - d) (1 + u)^(L+1) + L + 5 <= 2 L + 6 < 8 (L + 2) for L <= 63, so
+   the corners enclose every leaf; DBL_MIN covers the product in s should it
+   underflow.  The slack is kept per coordinate: at a real lambda every y is
+   exactly 0 with B = 0, and a slack shared with x would let each box
+   straddle the row boundary that the real axis falls on.
+
+   Returns 0, with counts[0] the leaves walked and counts[1] the subtrees
+   skipped, or -1 for more than 3 letters or a level outside 0..63. */
+
+#include <float.h>
+#include <math.h>
+#include <stdint.h>
+
+#define MAX_LEVELS 64
+#define BOX_PIXELS 8
+
+typedef double pair __attribute__((vector_size(16)));
+
+struct walk {
+    pair step[MAX_LEVELS][3];  /* (w_d, w'_d) of each letter */
+    pair half[MAX_LEVELS];     /* (r_d, r'_d) */
+    int k, levels, first, last;
+    pair size, extent;         /* (W, H) and (x1 - x0, y1 - y0) */
+    double x0, y1;
+    long width, height;
+    unsigned char *hit;
+    int64_t leaves, skipped;
+};
+
+/* (column, row) of the point (x, y), not yet floored */
+static inline pair pixel(const struct walk *s, double x, double y)
+{
+    pair a = {x, s->y1}, b = {s->x0, y};
+    return (a - b) * s->size / s->extent;
+}
+
+/* floor(c) clipped to -1..n: the same tests against 0..n-1 */
+static inline long clip(double c, long n) { return c < 0 ? -1 : c >= n ? n : (long)c; }
+
+/* 1 when no leaf below the node p of level d can hit a new pixel */
+static int known(struct walk *s, pair p, int d)
+{
+    pair lo = pixel(s, p[0] - s->half[d][0], p[1] + s->half[d][1]);
+    pair hi = pixel(s, p[0] + s->half[d][0], p[1] - s->half[d][1]);
+    long c0 = clip(lo[0], s->width), c1 = clip(hi[0], s->width);
+    long r0 = clip(lo[1], s->height), r1 = clip(hi[1], s->height);
+    if (c1 < 0 || c0 >= s->width || r1 < 0 || r0 >= s->height)
+        return 1;
+    if (c0 == c1 && r0 == r1) {
+        s->hit[r0 * s->width + c0] = 1;
+        return 1;
+    }
+    if (c1 - c0 >= BOX_PIXELS || r1 - r0 >= BOX_PIXELS)
+        return 0;
+    for (long r = r0 < 0 ? 0 : r0; r <= r1 && r < s->height; r++)
+        for (long c = c0 < 0 ? 0 : c0; c <= c1 && c < s->width; c++)
+            if (!s->hit[r * s->width + c])
+                return 0;
+    return 1;
+}
+
+static void grow(struct walk *s, int d, pair p)
+{
+    if (d == s->levels) {
+        for (int a = 0; a < s->k; a++) {
+            pair q = p + s->step[d][a];
+            pair c = pixel(s, q[0], q[1]);
+            if (c[0] >= 0 && c[0] < s->size[0] && c[1] >= 0 && c[1] < s->size[1])
+                s->hit[(long)c[1] * s->width + (long)c[0]] = 1;
+        }
+        s->leaves += s->k;
+        return;
+    }
+    for (int a = 0; a < s->k; a++) {
+        pair q = p + s->step[d][a];
+        if (d >= s->first && d <= s->last && known(s, q, d))
+            s->skipped++;
+        else
+            grow(s, d + 1, q);
+    }
+}
+
+int ifs_attractor_hits(const double *wx, const double *wy, int k, int levels,
+                       double x0, double y1, double dx, double dy,
+                       long width, long height, unsigned char *hit, int64_t *counts)
+{
+    struct walk s = {.k = k, .levels = levels, .first = levels, .last = levels - 3,
+                     .size = {(double)width, (double)height}, .extent = {dx, dy},
+                     .x0 = x0, .y1 = y1, .width = width, .height = height, .hit = hit};
+    double mx[MAX_LEVELS], my[MAX_LEVELS], bx = 0, by = 0, tx = 0, ty = 0;
+    if (k < 1 || k > 3 || levels < 0 || levels >= MAX_LEVELS)
+        return -1;
+    for (int d = 0; d <= levels; d++) {
+        mx[d] = my[d] = 0;
+        for (int a = 0; a < k; a++) {
+            s.step[d][a] = (pair){wx[d * k + a], wy[d * k + a]};
+            mx[d] = fmax(mx[d], fabs(wx[d * k + a]));
+            my[d] = fmax(my[d], fabs(wy[d * k + a]));
+        }
+        bx += mx[d];
+        by += my[d];
+    }
+    double sx = 4.0 * (levels + 2) * DBL_EPSILON * bx + DBL_MIN;
+    double sy = 4.0 * (levels + 2) * DBL_EPSILON * by + DBL_MIN;
+    for (int d = levels; d >= 0; d--) {
+        s.half[d] = (pair){tx + sx, ty + sy};
+        if (2 * (tx + sx) * width <= BOX_PIXELS * dx && 2 * (ty + sy) * height <= BOX_PIXELS * dy)
+            s.first = d;
+        tx += mx[d];
+        ty += my[d];
+    }
+    grow(&s, 0, (pair){0.0, 0.0});
+    counts[0] = s.leaves;
+    counts[1] = s.skipped;
+    return 0;
+}

@@ -1,0 +1,107 @@
+"""Build and load the compiled attractor walk, ``_attractor.c``.
+
+The kernel is compiled on first use with the system ``cc`` into the per-user
+cache folder (``$XDG_CACHE_HOME/ifslab``, by default ``~/.cache/ifslab``)
+and loaded with ``ctypes``.  The file name holds a hash of the source, the
+flags, the machine and the Python cache tag, so an edited source or another
+interpreter builds a file of its own; the build writes a temporary name and
+renames it, so a reader never loads a half-written file.  A cached file that
+does not load is built again.  When no compiler runs, the build fails or the
+folder cannot be written, ``attractor_kernel`` returns None and the caller
+keeps its numpy path, which gives the same bytes.
+
+The flags keep the arithmetic IEEE double, operation by operation:
+``-ffp-contract=off`` forbids fused multiply-adds and ``-fno-fast-math``
+any reordering, so the kernel's sums and pixel expressions have the bits of
+numpy's.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_attractor.c")
+FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+
+_doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_ARGTYPES = [
+    _doubles, _doubles, ctypes.c_int, ctypes.c_int,
+    ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+    ctypes.c_long, ctypes.c_long,
+    np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE")),
+    np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE")),
+]
+
+
+def library_path() -> Path:
+    """Where the kernel built from the current source is cached."""
+    key = hashlib.sha256(b"\0".join([
+        SOURCE.read_bytes(), " ".join(FLAGS).encode(), platform.machine().encode(),
+        sys.implementation.cache_tag.encode(),
+    ])).hexdigest()[:16]
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(cache, "ifslab", f"attractor-{key}.so")
+
+
+def _build(path: Path) -> None:
+    """Compile the source to ``path`` through a temporary file in its folder."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run(["cc", *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+                       check=True, capture_output=True, timeout=120)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load(path: Path):
+    function = ctypes.CDLL(str(path)).ifs_attractor_hits
+    function.argtypes = _ARGTYPES
+    function.restype = ctypes.c_int
+    return function
+
+
+@functools.cache
+def attractor_kernel():
+    """The ``ifs_attractor_hits`` function of ``_attractor.c``, loaded once per
+    process, or None when it cannot be built or loaded."""
+    try:
+        path = library_path()
+        try:
+            return _load(path)
+        except (OSError, AttributeError):  # not built yet, or does not load
+            _build(path)
+            return _load(path)
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+
+
+def attractor_hits(kernel, signs: np.ndarray, weights: list, window, width: int,
+                   height: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """The W*H boolean mask of the pixels hit by the nodes of the level that
+    ``ifs._letter_weights`` gave ``signs`` and ``weights`` for, in ``window``
+    (x0, y0, x1, y1), with the kernel's counts of leaves walked and subtrees
+    skipped."""
+    table = np.array([signs] + weights, dtype=np.complex128)
+    wx, wy = np.ascontiguousarray(table.real), np.ascontiguousarray(table.imag)
+    x0, y0, x1, y1 = window
+    hit = np.zeros(height * width, dtype=bool)
+    counts = np.zeros(2, dtype=np.int64)
+    status = kernel(wx, wy, signs.size, len(weights), x0, y1, x1 - x0, y1 - y0,
+                    width, height, hit.view(np.uint8), counts)
+    if status != 0:
+        raise ValueError(f"the attractor kernel refused level {len(weights)}")
+    return hit, (int(counts[0]), int(counts[1]))

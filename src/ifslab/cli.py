@@ -232,18 +232,16 @@ def cmd_render(
     return EXIT_OK
 
 
-def _paint(rgb: np.ndarray, pixels, color) -> None:
-    """Paint ``color`` on every pixel that a (cols, rows) pair of ``pixels``
-    names.  The pairs hold floored float indices; those outside the image
-    are dropped.  Hits are marked in one mask and painted once.
+def _hits(pixels, width: int, height: int) -> np.ndarray:
+    """The W*H boolean mask of the pixels that a (cols, rows) pair of
+    ``pixels`` names.  The pairs hold floored float indices; those outside
+    the image are dropped.
 
     A pair whose smallest and largest indices all lie in the image (no NaN,
     which fails every comparison) needs no mask: its flat indices
     rows * W + cols are formed in ``rows`` itself, exactly, since they are
     integers below W * H <= MAX_PIXELS, and cast once.  So ``rows`` may be
-    overwritten.  The colour is copied where the mask is set, with no array
-    of the hit pixels' indices."""
-    height, width, _ = rgb.shape
+    overwritten."""
     hit = np.zeros(height * width, dtype=bool)
     for cols, rows in pixels:
         if (cols.min() >= 0 and cols.max() < width
@@ -254,11 +252,24 @@ def _paint(rgb: np.ndarray, pixels, color) -> None:
         else:
             keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
             hit[rows[keep].astype(np.intp) * width + cols[keep].astype(np.intp)] = True
+    return hit
+
+
+def _fill(rgb: np.ndarray, hit: np.ndarray, color) -> None:
+    """Copy ``color`` to the pixels of ``rgb`` that the flat mask ``hit``
+    sets, with no array of the hit pixels' indices."""
     np.copyto(rgb.reshape(-1, 3), np.array(color, dtype=np.uint8), where=hit[:, None])
 
 
+def _paint(rgb: np.ndarray, pixels, color) -> None:
+    """Paint ``color`` on every pixel that a (cols, rows) pair of ``pixels``
+    names (``_hits``): hits are marked in one mask and painted once."""
+    height, width, _ = rgb.shape
+    _fill(rgb, _hits(pixels, width, height), color)
+
+
 def _point_pixels(points, window, width: int, height: int):
-    """The (cols, rows) pairs for ``_paint`` of each (x, y) pair of point
+    """The (cols, rows) pairs for ``_hits`` of each (x, y) pair of point
     parts from ``ifs.level_points``: floor((x - x0) * W / (x1 - x0)) and
     floor((y1 - y) * H / (y1 - y0)), operation by operation in that order,
     in the pair's own arrays, so a pair is valid until the next one is
@@ -274,6 +285,25 @@ def _point_pixels(points, window, width: int, height: int):
         rows /= y1 - y0
         np.floor(rows, out=rows)
         yield cols, rows
+
+
+def _point_hits(lam: complex, depth: int, alphabet: str, window, width: int,
+                height: int) -> np.ndarray:
+    """The W*H mask of the pixels that the level-``depth`` nodes fall on.
+
+    The compiled walk of ``_native`` marks it when it can be built and
+    loaded; it skips subtrees whose pixels are known.  Otherwise
+    ``ifs.level_points`` feeds ``_point_pixels`` and ``_hits``, the
+    kernel's reference, with the same bits.  Either way the level is checked
+    before any work."""
+    from . import _native
+
+    signs, weights = ifs._letter_weights(complex(lam), depth, alphabet)
+    kernel = _native.attractor_kernel()
+    if kernel is not None:
+        return _native.attractor_hits(kernel, signs, weights, window, width, height)[0]
+    points = ifs._level_points(signs, weights)
+    return _hits(_point_pixels(points, window, width, height), width, height)
 
 
 def _circle_steps(radius: float, window, width: int, height: int) -> int:
@@ -359,9 +389,8 @@ def cmd_attractor(
     circles, color = _overlay_circles(
         lam, alphabet, window, width, height, overlay, overlay_level, series, periods
     )
-    points = ifs.level_points(lam, depth, alphabet)
     rgb = np.full((height, width, 3), 255, dtype=np.uint8)
-    _paint(rgb, _point_pixels(points, window, width, height), (0, 0, 0))
+    _fill(rgb, _point_hits(lam, depth, alphabet, window, width, height), (0, 0, 0))
     if circles:
         _paint(rgb, (
             pixels for centers, radius, steps in circles

@@ -14,7 +14,9 @@ levels from a long run of prefixes that the walk of a shallower level
 yields.  They stream the certificate's clearance and the instar circles of
 the command line, flat in memory.  The attractor points need no order, so
 ``level_points`` yields them as the real and imaginary parts of each block,
-the last two levels added part by part, with the bits of the fold.
+the last two levels added part by part, with the bits of the fold: the
+numpy path of the command line's point raster, whose compiled walk
+(``_attractor.c``) adds the parts in the same order.
 """
 
 from __future__ import annotations

@@ -74,3 +74,24 @@ def random_rooted_series(rng, period):
             continue
         if 0.0 < abs(lam) < 1.0 and abs(rational_eval(f, lam)) < ROOT_TOL:
             return f, lam
+
+
+@pytest.fixture
+def numpy_points(monkeypatch):
+    """The attractor's point raster on its numpy path, as when the compiled
+    walk cannot be built."""
+    from ifslab import _native
+
+    monkeypatch.setattr(_native, "attractor_kernel", lambda: None)
+
+
+@pytest.fixture
+def kernel():
+    """The compiled attractor walk; the test is skipped where no C compiler
+    builds it (CI asserts that it builds)."""
+    from ifslab import _native
+
+    loaded = _native.attractor_kernel()
+    if loaded is None:
+        pytest.skip("the attractor kernel could not be built here")
+    return loaded

@@ -483,15 +483,16 @@ class TestStreamedAttractor:
 
     @pytest.mark.parametrize("case", ["depth0", "instar8", "chain64"])
     def test_one_paint_for_the_points_and_one_per_overlay(self, tmp_path, monkeypatch, case):
-        # every _paint call allocates and scans a W*H mask
+        # every _fill call scans a W*H mask, built by the compiled walk or
+        # by _hits
         calls = []
-        paint = cli._paint
+        fill = cli._fill
 
         def counted(*args):
             calls.append(args)
-            paint(*args)
+            fill(*args)
 
-        monkeypatch.setattr(cli, "_paint", counted)
+        monkeypatch.setattr(cli, "_fill", counted)
         self._check(tmp_path, **self.CASES[case])
         assert len(calls) <= 2
 
@@ -549,6 +550,16 @@ class TestStreamedAttractor:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+@pytest.mark.usefixtures("numpy_points")
+class TestAttractorOnNumpyPath(TestAttractor):
+    """``TestAttractor`` where the compiled walk cannot be built."""
+
+
+@pytest.mark.usefixtures("numpy_points")
+class TestStreamedAttractorOnNumpyPath(TestStreamedAttractor):
+    """``TestStreamedAttractor`` where the compiled walk cannot be built."""
 
 
 class TestPaintEdges:

@@ -20,10 +20,12 @@ search gained its steered second descent.  The file is written with
 
     PYTHONPATH=src python tests/test_ppm_golden.py
 
-which rewrites it from the code in the tree.  A change that moves a pixel or
-a report field of these cases fails here, so refactors of the membership
-search, the node enumeration or the raster need no hand-made comparison
-against their parent.
+which rewrites it from the code in the tree.  The attractor cases are
+checked once more with the compiled point walk unavailable, on the numpy
+path it replaces.  A change that moves a pixel or a report field of these
+cases fails here, so refactors of the membership search, the node
+enumeration or the raster need no hand-made comparison against their
+parent.
 """
 
 import hashlib
@@ -69,12 +71,13 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def golden_digests() -> dict:
-    """Each case's digests, from one run of the command line."""
+def golden_digests(names=CASES) -> dict:
+    """The digests of the named cases, from one run of the command line."""
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         out, report = Path(tmp, "out.ppm"), Path(tmp, "report.json")
-        for name, argv in CASES.items():
+        for name in names:
+            argv = CASES[name]
             extra = ["--out", str(out)]
             if argv[0] == "render":
                 extra += ["--report", str(report)]
@@ -89,6 +92,14 @@ def golden_digests() -> dict:
 
 def test_images_match_the_golden_file():
     assert golden_digests() == json.loads(GOLDEN.read_text())
+
+
+def test_attractors_match_the_golden_file_on_the_numpy_path(numpy_points):
+    # the attractor's points are marked by the compiled walk when it can be
+    # built, and by numpy otherwise: both give the golden bytes
+    golden = json.loads(GOLDEN.read_text())
+    names = [name for name in CASES if name.startswith("attractor/")]
+    assert golden_digests(names) == {name: golden[name] for name in names}
 
 
 if __name__ == "__main__":
