@@ -2,8 +2,8 @@
    loaded by ifslab/_native.py.
 
    ifs_attractor_hits sets hit[r * W + c] = 1 for every pixel (c, r) of a
-   W x H image that a node of the level falls on: the mask that
-   ifs.level_points, cli._point_pixels and cli._hits mark, bit for bit.
+   W x H image that a node of the level falls on: the mask of the numpy
+   path of cli._point_hits, bit for bit.
    It walks the word tree depth first.  A node of level d is x_d = x_{d-1}
    + w_d and y_d = y_{d-1} + w'_d from x_{-1} = y_{-1} = 0, with w_d, w'_d
    the real and imaginary parts of its letter's weight at level d

@@ -2,10 +2,10 @@
 
 The kernel is compiled on first use with the system ``cc`` into the per-user
 cache folder (``$XDG_CACHE_HOME/ifslab``, by default ``~/.cache/ifslab``)
-and loaded with ``ctypes``.  The file name holds a hash of the source, the
-flags, the machine and the Python cache tag, so an edited source or another
-interpreter builds a file of its own; the build writes a temporary name and
-renames it, so a reader never loads a half-written file.  A cached file that
+and loaded with ``ctypes``.  The file name holds a CRC-32 of the source,
+the flags, the machine and the Python cache tag, so an edited source or
+another interpreter builds a file of its own; the build writes a temporary
+name and renames it, so a reader never loads a half-written file.  A cached file that
 does not load is built again.  When no compiler runs, the build fails or the
 folder cannot be written, ``attractor_kernel`` returns None and the caller
 keeps its numpy path, which gives the same bytes.
@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import platform
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +44,15 @@ _ARGTYPES = [
 
 
 def library_path() -> Path:
-    """Where the kernel built from the current source is cached."""
-    key = hashlib.sha256(b"\0".join([
+    """Where the kernel built from the current source is cached.  The key is
+    a CRC-32: numpy has loaded zlib already, while ``hashlib`` would load
+    OpenSSL, some 3.6 MB, into every ``attractor`` process."""
+    key = zlib.crc32(b"\0".join([
         SOURCE.read_bytes(), " ".join(FLAGS).encode(), platform.machine().encode(),
         sys.implementation.cache_tag.encode(),
-    ])).hexdigest()[:16]
+    ]))
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(cache, "ifslab", f"attractor-{key}.so")
+    return Path(cache, "ifslab", f"attractor-{key:08x}.so")
 
 
 def _build(path: Path) -> None:

@@ -268,23 +268,14 @@ def _paint(rgb: np.ndarray, pixels, color) -> None:
     _fill(rgb, _hits(pixels, width, height), color)
 
 
-def _point_pixels(points, window, width: int, height: int):
-    """The (cols, rows) pairs for ``_hits`` of each (x, y) pair of point
-    parts from ``ifs.level_points``: floor((x - x0) * W / (x1 - x0)) and
-    floor((y1 - y) * H / (y1 - y0)), operation by operation in that order,
-    in the pair's own arrays, so a pair is valid until the next one is
-    drawn."""
+def _point_pixels(blocks, window, width: int, height: int):
+    """The (cols, rows) pairs for ``_hits`` of the points of each block:
+    floor((x - x0) * W / (x1 - x0)) and floor((y1 - y) * H / (y1 - y0)),
+    operation by operation in that order."""
     x0, y0, x1, y1 = window
-    for cols, rows in points:
-        cols -= x0
-        cols *= width
-        cols /= x1 - x0
-        np.floor(cols, out=cols)
-        np.subtract(y1, rows, out=rows)
-        rows *= height
-        rows /= y1 - y0
-        np.floor(rows, out=rows)
-        yield cols, rows
+    for nodes in blocks:
+        yield (np.floor((nodes.real - x0) * width / (x1 - x0)),
+               np.floor((y1 - nodes.imag) * height / (y1 - y0)))
 
 
 def _point_hits(lam: complex, depth: int, alphabet: str, window, width: int,
@@ -292,8 +283,8 @@ def _point_hits(lam: complex, depth: int, alphabet: str, window, width: int,
     """The W*H mask of the pixels that the level-``depth`` nodes fall on.
 
     The compiled walk of ``_native`` marks it when it can be built and
-    loaded; it skips subtrees whose pixels are known.  Otherwise
-    ``ifs.level_points`` feeds ``_point_pixels`` and ``_hits``, the
+    loaded; it skips subtrees whose pixels are known.  Otherwise the blocks
+    of ``ifs._level_blocks`` feed ``_point_pixels`` and ``_hits``, the
     kernel's reference, with the same bits.  Either way the level is checked
     before any work."""
     from . import _native
@@ -302,8 +293,8 @@ def _point_hits(lam: complex, depth: int, alphabet: str, window, width: int,
     kernel = _native.attractor_kernel()
     if kernel is not None:
         return _native.attractor_hits(kernel, signs, weights, window, width, height)[0]
-    points = ifs._level_points(signs, weights)
-    return _hits(_point_pixels(points, window, width, height), width, height)
+    blocks = ifs._level_blocks(signs, weights)
+    return _hits(_point_pixels(blocks, window, width, height), width, height)
 
 
 def _circle_steps(radius: float, window, width: int, height: int) -> int:

@@ -12,11 +12,9 @@ by one fold over a table of letter weights, so a node has the same bits
 either way.  The blocks come from a staged walk: each grows the last few
 levels from a long run of prefixes that the walk of a shallower level
 yields.  They stream the certificate's clearance and the instar circles of
-the command line, flat in memory.  The attractor points need no order, so
-``level_points`` yields them as the real and imaginary parts of each block,
-the last two levels added part by part, with the bits of the fold: the
-numpy path of the command line's point raster, whose compiled walk
-(``_attractor.c``) adds the parts in the same order.
+the command line, flat in memory, and the numpy path of its point raster,
+whose compiled walk (``_attractor.c``) adds the weights in the fold's
+order.
 """
 
 from __future__ import annotations
@@ -218,52 +216,6 @@ def level_blocks(lam: complex, level: int, alphabet: str = TERNARY):
 
     The level is checked here, before the first block is asked for."""
     return _level_blocks(*_letter_weights(complex(lam), level, alphabet))
-
-
-def _level_points(signs: np.ndarray, weights: list):
-    """The parts of the nodes of ``_level_blocks(signs, weights)`` in blocks
-    of at most _BLOCK_NODES, not in order.
-
-    Each block starts from a run of _BLOCK_NODES // k^2 prefixes two levels
-    up from the staged walk (the one root 0 above level 0; one level up when
-    k^2 would exceed a block), whose parts are copied once to two float
-    arrays.  Each of the last two levels is then grown part by part and
-    letter by letter: letter j's nodes are the parts of the level above plus
-    the parts of its weight, written to the j-th stretch of two more arrays.
-    Complex addition is componentwise, so these are the bits of the fold,
-    but no complex node is written for them and no strided part is read more
-    than once."""
-    k, grown = signs.size, 2
-    while k ** grown > _BLOCK_NODES:
-        grown -= 1
-    weights = [list(signs)] + weights
-    head, tail = weights[:-grown], weights[-grown:]
-    prefixes = _level_blocks(signs, head[1:]) if head else [np.zeros(1, np.complex128)]
-    steps = [[(float(w.real), float(w.imag)) for w in level] for level in tail]
-    run = _BLOCK_NODES // k ** len(tail)
-    parts = [(np.empty(run * k ** i), np.empty(run * k ** i)) for i in range(len(tail) + 1)]
-    for nodes in _runs(prefixes, run):
-        n = nodes.size
-        xs, ys = parts[0][0][:n], parts[0][1][:n]
-        np.copyto(xs, nodes.real)
-        np.copyto(ys, nodes.imag)
-        for level, (gx, gy) in zip(steps, parts[1:]):
-            for j, (wx, wy) in enumerate(level):
-                np.add(xs, wx, out=gx[j * n:(j + 1) * n])
-                np.add(ys, wy, out=gy[j * n:(j + 1) * n])
-            n *= k
-            xs, ys = gx[:n], gy[:n]
-        yield xs, ys
-
-
-def level_points(lam: complex, level: int, alphabet: str = TERNARY):
-    """The nodes of ``level_nodes(lam, level, alphabet)``, bit for bit but not
-    in order, as pairs (x, y) of contiguous float64 arrays of their real and
-    imaginary parts, at most ``_BLOCK_NODES`` nodes per pair.  A pair is
-    overwritten by the next one, and its consumer may overwrite it too.
-
-    The level is checked here, before the first pair is asked for."""
-    return _level_points(*_letter_weights(complex(lam), level, alphabet))
 
 
 def nodal_radius(lam: complex, level: int) -> float:

@@ -6,10 +6,14 @@ whenever the kernel cannot be built or loaded."""
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ifslab
 from ifslab import _native, cli, ifs
 from ifslab.cli import cmd_attractor, main
 from ifslab.numerics import newton_root
@@ -29,8 +33,10 @@ def default_window(lam):
 
 
 def numpy_hits(lam, depth, alphabet, window, width, height):
-    points = ifs.level_points(lam, depth, alphabet)
-    return cli._hits(cli._point_pixels(points, window, width, height), width, height)
+    """The mask of the command's numpy path, with the kernel switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_native, "attractor_kernel", lambda: None)
+        return cli._point_hits(lam, depth, alphabet, window, width, height)
 
 
 def kernel_hits(kernel, lam, depth, alphabet, window, width, height):
@@ -63,6 +69,18 @@ def random_case(rng):
     return lam, depth, alphabet, window, width, height
 
 
+def extreme_leaf_windows(lam, depth, alphabet):
+    """Two windows of one pixel, for W = H = 1: the left edge on the
+    level's largest x, so that only the rightmost leaves fall in it, and the
+    top edge on its smallest y, so that only the lowest ones do.  Each leaf
+    lies within rounding of the corner of every box above it."""
+    nodes = ifs.level_nodes(lam, depth, alphabet)
+    bound = 1.0 / (1.0 - abs(lam))
+    x, y = float(nodes.real.max()), float(nodes.imag.min())
+    return [(lam, depth, alphabet, window, 1, 1) for window in (
+        (x, -bound, x + 2 * bound, bound), (-bound, y - 2 * bound, bound, y))]
+
+
 FIXED_CASES = [
     (0.5 + 0.5j, 0, "ternary", None, 7, 5),
     (0.5 + 0.5j, 0, "binary", None, 7, 5),
@@ -75,6 +93,9 @@ FIXED_CASES = [
     (LANDMARK5_ROOT, 9, "ternary", (0.5, 0.5, 2.5, 2.0), 211, 157),
     (0.6 + 0.25j, 9, "ternary", (10.0, 10.0, 11.0, 12.0), 50, 60),
     (0.6 + 0.25j, 9, "ternary", (0.3, -0.2, 1.9, 0.7), 333, 111),
+    # a kernel with no rounding slack in x, or in y, calls the box of an
+    # ancestor off the image and misses the one leaf of each window
+    *extreme_leaf_windows(-0.56 + 0.55j, 5, "ternary"),
 ]
 
 
@@ -120,6 +141,17 @@ def test_refusals_come_before_the_kernel(tmp_path, monkeypatch, extra, code):
     assert main(["attractor", "--seed", "0.6,0.25", "--px", "50,50",
                  "--out", str(out), *extra]) == code
     assert not out.exists()
+
+
+def test_the_cache_key_leaves_openssl_unloaded():
+    # hashlib loads OpenSSL, some 3.6 MB, into every attractor process
+    src = str(Path(ifslab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, ifslab.cli; from ifslab import _native; _native.library_path(); "
+            "print(sorted(m for m in sys.modules if m.endswith('hashlib')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 class TestLoader:

@@ -14,7 +14,7 @@ from ifslab import (
     selfsim_residuals,
 )
 from ifslab import ifs
-from ifslab.ifs import MAX_LEVEL, level_blocks, level_nodes, level_points, nodal_radius
+from ifslab.ifs import MAX_LEVEL, level_blocks, level_nodes, nodal_radius
 from oracles import level_chunks_broadcast, level_nodes_broadcast
 
 LAM_RECT = 1j / math.sqrt(2)
@@ -184,21 +184,17 @@ class TestLevelBlocks:
         with pytest.raises(ValueError):
             level_blocks(0.5 + 0.1j, 2, "decimal")
 
-    @pytest.mark.parametrize("walk", [level_blocks, level_points])
     @pytest.mark.parametrize("block", [7, 20, ifs._BLOCK_NODES])
     @pytest.mark.parametrize("alphabet, level", [("ternary", 11), ("binary", 16)])
-    def test_every_block_but_the_last_has_one_size(self, monkeypatch, walk, block,
-                                                   alphabet, level):
+    def test_every_block_but_the_last_has_one_size(self, monkeypatch, block, alphabet, level):
         # the certificate's clearance sizes its arrays to a block, and
         # allocates them again whenever the size changes
         monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
-        sizes = [b[0].size if walk is level_points else b.size
-                 for b in walk(0.52 + 0.31j, level, alphabet)]
+        sizes = [b.size for b in level_blocks(0.52 + 0.31j, level, alphabet)]
         assert len(set(sizes[:-1])) == 1 and sizes[-1] <= sizes[0] <= block
 
-    @pytest.mark.parametrize("walk", [level_blocks, level_points])
     @pytest.mark.parametrize("alphabet, level", [("ternary", 14), ("binary", 22)])
-    def test_folds_start_from_long_runs_of_prefixes(self, monkeypatch, walk, alphabet, level):
+    def test_folds_start_from_long_runs_of_prefixes(self, monkeypatch, alphabet, level):
         # a fold pays its per-level call overhead once per call, so a walk
         # of the deepest level must not grow its blocks from 1 or 2 prefixes
         starts = []
@@ -209,9 +205,26 @@ class TestLevelBlocks:
             return fold(nodes, *args)
 
         monkeypatch.setattr(ifs, "_fold", counted)
-        for _ in walk(0.52 + 0.31j, level, alphabet):
+        for _ in level_blocks(0.52 + 0.31j, level, alphabet):
             pass
         assert sum(starts) / len(starts) >= 100
+
+    @pytest.mark.parametrize("alphabet, level", [("ternary", 14), ("binary", 22)])
+    def test_deepest_levels_bit_for_bit(self, alphabet, level):
+        # a whole level would take 0.1-0.2 GB, so the two ordered streams
+        # are compared slice by slice as they come, against the broadcast
+        # fold of ``oracles``
+        lam = TestFoldOracle.LAMS["mixed"]
+        chunks = level_chunks_broadcast(lam, level, alphabet)
+        want, count = np.empty(0, np.complex128), 0
+        for block in level_blocks(lam, level, alphabet):
+            assert block.size <= ifs._BLOCK_NODES
+            while want.size < block.size:
+                want = np.concatenate([want, next(chunks)])
+            assert block.tobytes() == want[:block.size].tobytes(), count
+            want, count = want[block.size:], count + block.size
+        assert want.size == 0 and next(chunks, None) is None
+        assert count == (3 if alphabet == "ternary" else 2) ** (level + 1)
 
 
 class TestFoldOracle:
@@ -232,86 +245,6 @@ class TestFoldOracle:
             assert level_nodes(lam, level, alphabet).tobytes() == expected, level
             blocks = [b.copy() for b in level_blocks(lam, level, alphabet)]
             assert np.concatenate(blocks).tobytes() == expected, level
-
-
-def _sorted_bits(pairs, bucket=0, buckets=1):
-    """The bits of the (x, y) parts in ``pairs`` whose x bits are ``bucket``
-    modulo ``buckets`` (a power of 2), sorted by x bits and then y bits: two
-    streams give equal arrays exactly when they hold the same nodes, in any
-    order.  Equal x bits are rare, so the pairs are sorted by x alone and
-    only the runs of equal x are sorted again by y."""
-    xs, ys = [], []
-    for x, y in pairs:
-        xbits, ybits = x.view(np.uint64), y.view(np.uint64)
-        keep = xbits & (buckets - 1) == bucket
-        xs.append(xbits[keep])
-        ys.append(ybits[keep])
-    xs, ys = np.concatenate(xs), np.concatenate(ys)
-    order = np.argsort(xs)
-    xs, ys = xs[order], ys[order]
-    same = xs[1:] == xs[:-1]
-    tied = np.zeros(xs.size, bool)
-    tied[1:] |= same
-    tied[:-1] |= same
-    ys[tied] = ys[tied][np.lexsort((ys[tied], xs[tied]))]
-    return xs, ys
-
-
-class TestLevelPoints:
-    """``level_points`` yields the nodes of the broadcast fold kept in
-    ``oracles`` as contiguous real and imaginary parts, bit for bit (signs
-    of zeros included) and in any order, at most ``_BLOCK_NODES`` per
-    pair."""
-
-    LAMS = TestFoldOracle.LAMS
-    LEVELS = [("ternary", level) for level in range(10)] + [
-        ("binary", level) for level in range(13)]
-
-    @pytest.mark.parametrize("block", [7, 20, ifs._BLOCK_NODES])
-    @pytest.mark.parametrize("name", sorted(LAMS))
-    def test_points_are_the_level_bit_for_bit(self, monkeypatch, roots, name, block):
-        monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
-        lam = roots[5] if self.LAMS[name] is None else self.LAMS[name]
-        for alphabet, level in self.LEVELS:
-            sizes = []
-
-            def pairs():
-                for x, y in level_points(lam, level, alphabet):
-                    assert x.dtype == y.dtype == np.float64
-                    assert x.flags.c_contiguous and y.flags.c_contiguous
-                    assert x.size == y.size
-                    sizes.append(x.size)
-                    yield x, y
-
-            nodes = level_nodes_broadcast(lam, level, alphabet)
-            got, want = _sorted_bits(pairs()), _sorted_bits([(nodes.real, nodes.imag)])
-            assert max(sizes) <= block, (alphabet, level)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (alphabet, level)
-
-    @pytest.mark.parametrize("alphabet, level", [("ternary", 14), ("binary", 22)])
-    def test_deepest_levels_bit_for_bit(self, alphabet, level):
-        # the two whole levels would take 0.4-0.7 GB with their sort keys,
-        # so the nodes are compared in 8 slices of their x bits.  At a
-        # landmark root many nodes coincide, and sorting their ties makes
-        # the test several times slower; the small levels cover them
-        lam = self.LAMS["mixed"]
-        count = 0
-        for bucket in range(8):
-            got = _sorted_bits(level_points(lam, level, alphabet), bucket, 8)
-            want = _sorted_bits(((c.real, c.imag) for c in
-                                 level_chunks_broadcast(lam, level, alphabet)), bucket, 8)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want)), bucket
-            count += got[0].size
-        assert count == (3 if alphabet == "ternary" else 2) ** (level + 1)
-        assert max(x.size for x, _ in level_points(lam, level, alphabet)) <= ifs._BLOCK_NODES
-
-    def test_level_checked_before_the_first_pair(self):
-        with pytest.raises(LevelTooDeep):
-            level_points(0.5 + 0.1j, MAX_LEVEL["binary"] + 1, "binary")
-        with pytest.raises(ValueError):
-            level_points(0.5 + 0.1j, -1, "ternary")
-        with pytest.raises(ValueError):
-            level_points(0.5 + 0.1j, 2, "decimal")
 
 
 class TestOverlapItinerary:
