@@ -7,14 +7,14 @@ one radius |lambda|^{k+1} * R, R = (1 - |lambda|)^{-1} (``nodal_radius``),
 around the nodes of all words of length k+1 (``level_nodes``); instars
 shrink onto the attractor.  Enumeration is always lexicographic with
 minus < center < plus, so outputs are deterministic.  Whole levels
-(``level_nodes``) and bounded blocks of a level (``level_blocks``) are built
-by one fold over a table of letter weights, so a node has the same bits
-either way.  The blocks come from a staged walk: each grows the last few
-levels from a long run of prefixes that the walk of a shallower level
-yields.  They stream the certificate's clearance and the instar circles of
-the command line, flat in memory, and the numpy path of its point raster,
-whose compiled walk (``_attractor.c``) adds the weights in the fold's
-order.
+(``level_nodes``) and blocks of k^b nodes of a level, for k letters
+(``level_blocks``), are built by one fold over a table of letter weights,
+so a node has the same bits either way.  The blocks come from a staged
+walk: each grows the last few levels from a long run of prefixes, and the
+runs divide the blocks of the walk of a shallower level.  They stream the
+certificate's clearance and the instar circles of the command line, flat
+in memory, and the numpy path of its point raster, whose compiled walk
+(``_attractor.c``) adds the weights in the fold's order.
 """
 
 from __future__ import annotations
@@ -77,15 +77,27 @@ def node(word: Word, lam: complex) -> complex:
     return _power_sums(word.letters, lam)[0][-1]
 
 
-#: Nodes per block of the level walks; a walk's working memory stays under
-#: 2.5 arrays of this many complex values at any level (``_level_blocks``).
-#: At least 3, so that one prefix grown by a ternary letter fits in a block.
-_BLOCK_NODES = 1 << 14
+#: Nodes per block of the level walks, whose blocks hold k^b nodes for the
+#: k letters and the largest such b (``_levels_within``): 3^9 ternary, 2^14
+#: binary.  A walk's working memory stays under 2.5 arrays of this many
+#: complex values at any level (``_level_blocks``).  Ternary blocks of 3^8
+#: made the certificate at p = 7 slower, 39 -> 47 ms on a 2-core x86_64
+#: machine.
+_BLOCK_NODES = 3 ** 9
 
-#: Levels that each stage of ``_level_blocks`` grows, by alphabet size.
-#: More levels mean fewer stages but shorter runs of prefixes; these were
-#: the fastest on a 2-core x86_64 machine with numpy 2.4.
-_STAGE_LEVELS = {2: 4, 3: 2}
+#: Bound on the nodes that each stage of ``_level_blocks`` grows from one
+#: prefix: 4 binary or 2 ternary levels.  More levels mean fewer stages but
+#: shorter runs of prefixes; these were the fastest on a 2-core x86_64
+#: machine with numpy 2.4.
+_STAGE_NODES = 16
+
+
+def _levels_within(k: int, nodes: int) -> int:
+    """The largest b >= 1 with k^b <= nodes (1 when k > nodes)."""
+    b = 1
+    while k ** (b + 1) <= nodes:
+        b += 1
+    return b
 
 
 def _letter_weights(lam: complex, level: int, alphabet: str) -> tuple[np.ndarray, list]:
@@ -143,76 +155,49 @@ def level_nodes(
     return _fold(*_letter_weights(complex(lam), level, alphabet))
 
 
-def _runs(blocks, size: int):
-    """The entries of ``blocks`` in consecutive runs of ``size``, the last
-    one shorter.  A run that straddles two blocks is copied to a buffer of
-    its own, so every run has the same size and so has every block grown
-    from one: a consumer that sizes its arrays to a block allocates once."""
-    carry, held = None, 0
-    for block in blocks:
-        start = 0
-        if held:
-            start = min(size - held, block.size)
-            carry[held:held + start] = block[:start]
-            held += start
-            if held < size:
-                continue
-            yield carry
-            held = 0
-        while start + size <= block.size:
-            yield block[start:start + size]
-            start += size
-        if start < block.size:
-            if carry is None:
-                carry = np.empty(size, block.dtype)
-            held = block.size - start
-            carry[:held] = block[start:]
-    if held:
-        yield carry[:held]
-
-
-def _level_blocks(signs: np.ndarray, weights: list, limit: int | None = None,
+def _level_blocks(signs: np.ndarray, weights: list, b: int | None = None,
                   spare: np.ndarray | None = None):
-    """Nodes sum a_j lambda^j of all words a_0..a_level over ``signs``, with
-    the weights a_j lambda^j of ``_letter_weights``, in lexicographic order,
-    as consecutive blocks of at most ``limit`` (by default _BLOCK_NODES).
+    """Nodes sum a_j lambda^j of all words a_0..a_level over the k letters
+    ``signs``, with the weights a_j lambda^j of ``_letter_weights``, in
+    lexicographic order, as consecutive blocks of k^b nodes (by default the
+    largest k^b within _BLOCK_NODES).
 
-    A level that fits in one block is grown whole.  A deeper one is walked
-    in stages: each block grows the last m levels (``_STAGE_LEVELS``, fewer
-    when k^m would exceed a block) by the same fold and weights from a run of
-    limit // k^m prefixes, which the walk of the level m above yields in
-    blocks of at most limit // k of its own.  So no fold below the top
-    starts from a handful of prefixes, every node has the bits of
-    ``level_nodes``, and the stages above hold half a block between them
-    for a ternary walk, one block for a binary one.
+    A level of at most k^b nodes is grown whole.  A deeper one is walked in
+    stages: each block grows the last m levels (k^m within _STAGE_NODES, at
+    most b) by the same fold and weights from a run of k^(b-m) prefixes.
+    The walk of the level m above yields them in blocks of its own, one
+    power of k smaller (at least k), which the runs divide.  So every block
+    has one size, no fold below the top starts from a handful of prefixes,
+    every node has the bits of ``level_nodes``, and the stages above hold
+    half a block between them for a ternary walk, one block for a binary
+    one.
 
     Each stage grows its blocks in one array of its own, and the levels
-    inside a fold go to ``spare``, _BLOCK_NODES // k nodes shared by all
-    stages, since a fold's inner levels are dead once it returns; a block is
-    valid until the next one is drawn.  The arrays are allocated once per
-    walk: new arrays at every block made the C heap shrink and grow again."""
+    inside a fold go to ``spare``, k^(b-1) nodes shared by all stages, since
+    a fold's inner levels are dead once it returns; a block is valid until
+    the next one is drawn.  The arrays are allocated once per walk: new
+    arrays at every block made the C heap shrink and grow again."""
     k, level = signs.size, len(weights)
-    if limit is None:
-        limit = _BLOCK_NODES
+    if b is None:
+        b = _levels_within(k, _BLOCK_NODES)
     if spare is None:
-        spare = np.empty(_BLOCK_NODES // k, np.complex128)
-    if k ** (level + 1) <= limit:
+        spare = np.empty(k ** (b - 1), np.complex128)
+    if level < b:
         yield _fold(signs, weights, np.empty(k ** (level + 1), np.complex128), spare)
         return
-    m = _STAGE_LEVELS[k]
-    while k ** m > limit:
-        m -= 1
-    run = limit // k ** m
-    out = np.empty(run * k ** m, np.complex128)
-    above = _level_blocks(signs, weights[:-m], max(limit // k, k), spare)
-    for prefixes in _runs(above, run):
-        yield _fold(prefixes, weights[-m:], out, spare)
+    m = min(_levels_within(k, _STAGE_NODES), b)
+    run = k ** (b - m)
+    out = np.empty(k ** b, np.complex128)
+    for block in _level_blocks(signs, weights[:-m], max(b - 1, 1), spare):
+        for s in range(0, block.size, run):
+            yield _fold(block[s:s + run], weights[-m:], out, spare)
 
 
 def level_blocks(lam: complex, level: int, alphabet: str = TERNARY):
     """The nodes of ``level_nodes(lam, level, alphabet)``, bit for bit and in
-    the same order, as consecutive blocks of at most ``_BLOCK_NODES``.  A
-    block is overwritten by the next one: copy it to keep it.
+    the same order, as consecutive blocks of one size, at most
+    ``_BLOCK_NODES`` (``_level_blocks``).  A block is overwritten by the next
+    one: copy it to keep it.
 
     The level is checked here, before the first block is asked for."""
     return _level_blocks(*_letter_weights(complex(lam), level, alphabet))

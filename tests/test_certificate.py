@@ -463,7 +463,7 @@ class TestEquivalence:
 class TestStreamedCertificate:
     """The pruned (iii) walk and the block-streamed instar clearance against
     the exhaustive enumerations; the clearance at the default block size and
-    at a small one whose blocks end inside the prefix runs."""
+    at a small one, whose walk runs through many more stages."""
 
     BLOCKS = (ifs._BLOCK_NODES, 20)
 

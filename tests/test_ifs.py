@@ -19,6 +19,11 @@ from oracles import level_chunks_broadcast, level_nodes_broadcast
 
 LAM_RECT = 1j / math.sqrt(2)
 
+#: Block bounds for the walks: the default (3^9); 2^14, binary blocks of the
+#: default size under a bound that is no power of 3, so ternary ones of 3^8;
+#: and 7, ternary blocks of 3 nodes and binary ones of 4, many stages deep.
+BLOCKS = [ifs._BLOCK_NODES, 1 << 14, 7]
+
 
 class TestWord:
     def test_letters_and_len(self):
@@ -150,7 +155,7 @@ class TestLevelBlocks:
     @pytest.mark.parametrize("alphabet, level", [
         ("binary", 0), ("binary", 13), ("ternary", 0), ("ternary", 9),
     ])
-    @pytest.mark.parametrize("block", [ifs._BLOCK_NODES, 7])
+    @pytest.mark.parametrize("block", BLOCKS)
     def test_blocks_are_the_level_bit_for_bit(self, monkeypatch, alphabet, level, block):
         # each block is overwritten by the next, so copy each to keep it
         monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
@@ -162,7 +167,7 @@ class TestLevelBlocks:
         assert joined.tobytes() == expected.tobytes()
 
     def test_one_weight_table_per_walk(self, monkeypatch):
-        # blocks of 6 nodes: 9,842 blocks, every one folded with the walk's
+        # blocks of 3 nodes: 19,683 blocks, every one folded with the walk's
         # one table of letter weights
         monkeypatch.setattr(ifs, "_BLOCK_NODES", 7)
         tables = []
@@ -184,14 +189,17 @@ class TestLevelBlocks:
         with pytest.raises(ValueError):
             level_blocks(0.5 + 0.1j, 2, "decimal")
 
-    @pytest.mark.parametrize("block", [7, 20, ifs._BLOCK_NODES])
+    @pytest.mark.parametrize("block", [7, 20, 1 << 14, ifs._BLOCK_NODES])
     @pytest.mark.parametrize("alphabet, level", [("ternary", 11), ("binary", 16)])
-    def test_every_block_but_the_last_has_one_size(self, monkeypatch, block, alphabet, level):
+    def test_every_block_has_one_size(self, monkeypatch, block, alphabet, level):
         # the certificate's clearance sizes its arrays to a block, and
-        # allocates them again whenever the size changes
+        # allocates them again whenever the size changes; the last block
+        # is as large as the others, since a stage's runs of prefixes
+        # divide the blocks of the stage above
         monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
-        sizes = [b.size for b in level_blocks(0.52 + 0.31j, level, alphabet)]
-        assert len(set(sizes[:-1])) == 1 and sizes[-1] <= sizes[0] <= block
+        k = 3 if alphabet == "ternary" else 2
+        sizes = {b.size for b in level_blocks(0.52 + 0.31j, level, alphabet)}
+        assert sizes == {k ** ifs._levels_within(k, block)}
 
     @pytest.mark.parametrize("alphabet, level", [("ternary", 14), ("binary", 22)])
     def test_folds_start_from_long_runs_of_prefixes(self, monkeypatch, alphabet, level):
@@ -216,15 +224,17 @@ class TestLevelBlocks:
         # fold of ``oracles``
         lam = TestFoldOracle.LAMS["mixed"]
         chunks = level_chunks_broadcast(lam, level, alphabet)
+        k = 3 if alphabet == "ternary" else 2
+        size = k ** ifs._levels_within(k, ifs._BLOCK_NODES)
         want, count = np.empty(0, np.complex128), 0
         for block in level_blocks(lam, level, alphabet):
-            assert block.size <= ifs._BLOCK_NODES
+            assert block.size == size <= ifs._BLOCK_NODES
             while want.size < block.size:
                 want = np.concatenate([want, next(chunks)])
             assert block.tobytes() == want[:block.size].tobytes(), count
             want, count = want[block.size:], count + block.size
         assert want.size == 0 and next(chunks, None) is None
-        assert count == (3 if alphabet == "ternary" else 2) ** (level + 1)
+        assert count == k ** (level + 1)
 
 
 class TestFoldOracle:
@@ -234,7 +244,7 @@ class TestFoldOracle:
 
     LAMS = {"half": 0.5, "i/sqrt2": LAM_RECT, "mixed": -0.3 + 0.6j, "landmark5": None}
 
-    @pytest.mark.parametrize("block", [ifs._BLOCK_NODES, 7])
+    @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("alphabet", ["binary", "ternary"])
     @pytest.mark.parametrize("name", sorted(LAMS))
     def test_nodes_equal_broadcast_fold(self, monkeypatch, roots, name, alphabet, block):
