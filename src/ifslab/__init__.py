@@ -15,6 +15,7 @@ from .errors import (
     NotARoot,
     ParseError,
     PoleAtUnity,
+    ScaleUnderflow,
     UnknownLandmark,
     ZerosInPeriod,
 )

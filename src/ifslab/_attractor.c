@@ -6,29 +6,28 @@
    path of cli._point_hits, bit for bit.
    It walks the word tree depth first.  A node of level d is x_d = x_{d-1}
    + w_d and y_d = y_{d-1} + w'_d from x_{-1} = y_{-1} = 0, with w_d, w'_d
-   the real and imaginary parts of its letter's weight at level d
-   (ifs._letter_weights, level 0 the letters themselves): the additions of
-   ifs._fold in its order, so every node has its bits.  A leaf (level L)
-   falls on column floor(((x - x0) * W) / (x1 - x0)) and row
-   floor(((y1 - y) * H) / (y1 - y0)), the expressions of _point_pixels in
-   their order, computed for x and y side by side in one vector of two
-   doubles (each lane an IEEE double operation), and is kept when
-   0 <= c < W and 0 <= r < H.  Unfloored, c >= 0 and c < W decide the same
-   as floored (W is an integer), the cast of a c >= 0 truncates to floor(c),
-   and NaN fails every test.
+   the real and imaginary parts of its letter's weight at level d, read as
+   (re, im) pairs from row d of the table of ifs._letter_weights (row 0 the
+   letters themselves): the additions of ifs._fold in its order, so every
+   node has its bits.  A leaf (level L) falls on column
+   floor(((x - x0) * W) / (x1 - x0)) and row floor(((y1 - y) * H) / (y1 - y0)),
+   the expressions of _point_pixels in their order, computed for x and y
+   side by side in one vector of two doubles (each lane an IEEE double
+   operation), and is kept when 0 <= c < W and 0 <= r < H.  Unfloored,
+   c >= 0 and c < W decide the same as floored (W is an integer), the cast
+   of a c >= 0 truncates to floor(c), and NaN fails every test.
 
-   From the first level whose box spans at most 8 x 8 pixels down to the
-   level three above the leaves, each node is boxed: every leaf under it
-   lies within r_d of it in x and r'_d in y, so its pixel lies between the
-   pixels of the box corners, because each step of the pixel expressions
-   (a rounded subtraction, product and quotient by positive numbers, and
-   floor) never decreases, in x, or never increases, in y.  The subtree is
-   skipped when that pixel range lies off the image, when it is one pixel
-   (painted here: the subtree has at least one leaf), or when every pixel
-   of it inside the image is already hit.  The mask is a set, so what is
-   skipped cannot change it.  Nodes of the last two levels above the
-   leaves are not boxed: a box costs about what painting the 4 or 9
-   leaves under such a node does.
+   Every node from the root down to the level three above the leaves is
+   boxed: every leaf under it lies within r_d of it in x and r'_d in y, so
+   its pixel lies between the pixels of the box corners, because each step
+   of the pixel expressions (a rounded subtraction, product and quotient by
+   positive numbers, and floor) never decreases, in x, or never increases,
+   in y.  The subtree is skipped when that pixel range lies off the image,
+   when it is one pixel (painted here: the subtree has at least one leaf),
+   or when it spans at most 8 x 8 pixels that are all hit inside the image.
+   The mask is a set, so what is skipped cannot change it.  Nodes of the
+   last two levels above the leaves are not boxed: a box costs about what
+   painting the 4 or 9 leaves under such a node does.
 
    The box bound, for x (y alike, with the imaginary parts).  Let
    u = DBL_EPSILON / 2, m_j the largest |w_j| over the letters, and
@@ -60,8 +59,8 @@ typedef double pair __attribute__((vector_size(16)));
 
 struct walk {
     pair step[MAX_LEVELS][3];  /* (w_d, w'_d) of each letter */
-    pair half[MAX_LEVELS];     /* (r_d, r'_d) */
-    int k, levels, first, last;
+    pair half[MAX_LEVELS];     /* (r_d, -r'_d): box corners p -/+ half */
+    int k, levels, last;
     pair size, extent;         /* (W, H) and (x1 - x0, y1 - y0) */
     double x0, y1;
     long width, height;
@@ -69,10 +68,10 @@ struct walk {
     int64_t leaves, skipped;
 };
 
-/* (column, row) of the point (x, y), not yet floored */
-static inline pair pixel(const struct walk *s, double x, double y)
+/* (column, row) of the point q = (x, y), not yet floored */
+static inline pair pixel(const struct walk *s, pair q)
 {
-    pair a = {x, s->y1}, b = {s->x0, y};
+    pair a = {q[0], s->y1}, b = {s->x0, q[1]};
     return (a - b) * s->size / s->extent;
 }
 
@@ -82,8 +81,7 @@ static inline long clip(double c, long n) { return c < 0 ? -1 : c >= n ? n : (lo
 /* 1 when no leaf below the node p of level d can hit a new pixel */
 static int known(struct walk *s, pair p, int d)
 {
-    pair lo = pixel(s, p[0] - s->half[d][0], p[1] + s->half[d][1]);
-    pair hi = pixel(s, p[0] + s->half[d][0], p[1] - s->half[d][1]);
+    pair lo = pixel(s, p - s->half[d]), hi = pixel(s, p + s->half[d]);
     long c0 = clip(lo[0], s->width), c1 = clip(hi[0], s->width);
     long r0 = clip(lo[1], s->height), r1 = clip(hi[1], s->height);
     if (c1 < 0 || c0 >= s->width || r1 < 0 || r0 >= s->height)
@@ -106,7 +104,7 @@ static void grow(struct walk *s, int d, pair p)
     if (d == s->levels) {
         for (int a = 0; a < s->k; a++) {
             pair q = p + s->step[d][a];
-            pair c = pixel(s, q[0], q[1]);
+            pair c = pixel(s, q);
             if (c[0] >= 0 && c[0] < s->size[0] && c[1] >= 0 && c[1] < s->size[1])
                 s->hit[(long)c[1] * s->width + (long)c[0]] = 1;
         }
@@ -115,41 +113,36 @@ static void grow(struct walk *s, int d, pair p)
     }
     for (int a = 0; a < s->k; a++) {
         pair q = p + s->step[d][a];
-        if (d >= s->first && d <= s->last && known(s, q, d))
+        if (d <= s->last && known(s, q, d))
             s->skipped++;
         else
             grow(s, d + 1, q);
     }
 }
 
-int ifs_attractor_hits(const double *wx, const double *wy, int k, int levels,
+int ifs_attractor_hits(const double (*w)[2], int k, int levels,
                        double x0, double y1, double dx, double dy,
                        long width, long height, unsigned char *hit, int64_t *counts)
 {
-    struct walk s = {.k = k, .levels = levels, .first = levels, .last = levels - 3,
+    struct walk s = {.k = k, .levels = levels, .last = levels - 3,
                      .size = {(double)width, (double)height}, .extent = {dx, dy},
                      .x0 = x0, .y1 = y1, .width = width, .height = height, .hit = hit};
-    double mx[MAX_LEVELS], my[MAX_LEVELS], bx = 0, by = 0, tx = 0, ty = 0;
+    pair m[MAX_LEVELS], b = {0, 0}, t = {0, 0};
     if (k < 1 || k > 3 || levels < 0 || levels >= MAX_LEVELS)
         return -1;
     for (int d = 0; d <= levels; d++) {
-        mx[d] = my[d] = 0;
+        m[d] = (pair){0, 0};
         for (int a = 0; a < k; a++) {
-            s.step[d][a] = (pair){wx[d * k + a], wy[d * k + a]};
-            mx[d] = fmax(mx[d], fabs(wx[d * k + a]));
-            my[d] = fmax(my[d], fabs(wy[d * k + a]));
+            s.step[d][a] = (pair){w[d * k + a][0], w[d * k + a][1]};
+            m[d][0] = fmax(m[d][0], fabs(w[d * k + a][0]));
+            m[d][1] = fmax(m[d][1], fabs(w[d * k + a][1]));
         }
-        bx += mx[d];
-        by += my[d];
+        b += m[d];
     }
-    double sx = 4.0 * (levels + 2) * DBL_EPSILON * bx + DBL_MIN;
-    double sy = 4.0 * (levels + 2) * DBL_EPSILON * by + DBL_MIN;
+    pair slack = 4.0 * (levels + 2) * DBL_EPSILON * b + DBL_MIN;
     for (int d = levels; d >= 0; d--) {
-        s.half[d] = (pair){tx + sx, ty + sy};
-        if (2 * (tx + sx) * width <= BOX_PIXELS * dx && 2 * (ty + sy) * height <= BOX_PIXELS * dy)
-            s.first = d;
-        tx += mx[d];
-        ty += my[d];
+        s.half[d] = (t + slack) * (pair){1, -1};
+        t += m[d];
     }
     grow(&s, 0, (pair){0.0, 0.0});
     counts[0] = s.leaves;

@@ -33,9 +33,8 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_attractor.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
-_doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _ARGTYPES = [
-    _doubles, _doubles, ctypes.c_int, ctypes.c_int,
+    np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"), ctypes.c_int, ctypes.c_int,
     ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
     ctypes.c_long, ctypes.c_long,
     np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE")),
@@ -91,19 +90,16 @@ def attractor_kernel():
         return None
 
 
-def attractor_hits(kernel, signs: np.ndarray, weights: list, window, width: int,
+def attractor_hits(kernel, table: np.ndarray, window, width: int,
                    height: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """The W*H boolean mask of the pixels hit by the nodes of the level that
-    ``ifs._letter_weights`` gave ``signs`` and ``weights`` for, in ``window``
-    (x0, y0, x1, y1), with the kernel's counts of leaves walked and subtrees
-    skipped."""
-    table = np.array([signs] + weights, dtype=np.complex128)
-    wx, wy = np.ascontiguousarray(table.real), np.ascontiguousarray(table.imag)
+    """The W*H boolean mask of the pixels hit by the nodes of the level whose
+    ``ifs._letter_weights`` table is ``table``, in ``window`` (x0, y0, x1,
+    y1), with the kernel's counts of leaves walked and subtrees skipped."""
     x0, y0, x1, y1 = window
     hit = np.zeros(height * width, dtype=bool)
     counts = np.zeros(2, dtype=np.int64)
-    status = kernel(wx, wy, signs.size, len(weights), x0, y1, x1 - x0, y1 - y0,
-                    width, height, hit.view(np.uint8), counts)
+    status = kernel(table.view(np.float64), table.shape[1], table.shape[0] - 1, x0, y1,
+                    x1 - x0, y1 - y0, width, height, hit.view(np.uint8), counts)
     if status != 0:
-        raise ValueError(f"the attractor kernel refused level {len(weights)}")
+        raise ValueError(f"the attractor kernel refused level {table.shape[0] - 1}")
     return hit, (int(counts[0]), int(counts[1]))

@@ -58,6 +58,7 @@ from .errors import (
     EnumerationTooLarge,
     HypothesisViolated,
     NotARoot,
+    ScaleUnderflow,
 )
 from . import ifs
 from .series import (
@@ -208,9 +209,11 @@ def _chain(f: RationalTypeSeries, lam: complex, count: int) -> tuple[complex, li
     disks 0..count-1, and the one running Taylor sum f_0..f_{ell+count} they
     are read off.  This is the only expression of each of them."""
     ell = f.preperiod
+    scale = lam ** (ell + 1)
+    if scale == 0:
+        raise ScaleUnderflow(f"lambda^{ell + 1} underflows to 0: preperiod {ell} is too long")
     sums = _taylor_sums(f, lam, ell + count)
     fl = sums[ell]
-    scale = lam ** (ell + 1)
     tail = sums[ell + 1:]
     nodes = [(fn - fl) / scale for fn in tail]
     disks = [

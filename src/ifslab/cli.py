@@ -289,11 +289,11 @@ def _point_hits(lam: complex, depth: int, alphabet: str, window, width: int,
     before any work."""
     from . import _native
 
-    signs, weights = ifs._letter_weights(complex(lam), depth, alphabet)
+    table = ifs._letter_weights(complex(lam), depth, alphabet)
     kernel = _native.attractor_kernel()
     if kernel is not None:
-        return _native.attractor_hits(kernel, signs, weights, window, width, height)[0]
-    blocks = ifs._level_blocks(signs, weights)
+        return _native.attractor_hits(kernel, table, window, width, height)[0]
+    blocks = ifs._level_blocks(table)
     return _hits(_point_pixels(blocks, window, width, height), width, height)
 
 

@@ -46,6 +46,10 @@ class UnknownLandmark(IfsLabError):
     """Landmark id that names no landmark fixture."""
 
 
+class ScaleUnderflow(IfsLabError):
+    """lambda^(ell+1), the divisor of every chain quantity, rounds to 0."""
+
+
 class ParseError(IfsLabError):
     """Malformed textual series or CLI value."""
 

@@ -100,28 +100,29 @@ def _levels_within(k: int, nodes: int) -> int:
     return b
 
 
-def _letter_weights(lam: complex, level: int, alphabet: str) -> tuple[np.ndarray, list]:
-    """The letters of ``alphabet`` as complex values and, at each index
-    k = 1..level, their weights ``letters * lambda^k`` as numpy scalars, with
-    lambda^k the running product ``power *= lam``; the level is checked
-    first.  A walk builds this table once, so no block recomputes a weight."""
+def _letter_weights(lam: complex, level: int, alphabet: str) -> np.ndarray:
+    """The (level + 1) x k complex table of a walk: row 0 the k letters of
+    ``alphabet``, row j = 1..level their weights ``letters * lambda^j``, with
+    lambda^j the running product ``power *= lam``; the level is checked
+    first.  A walk builds this table once, so no block recomputes a weight,
+    and the attractor kernel reads it as (re, im) pairs."""
     _check_level(level, alphabet)
-    signs = np.array(_signs(alphabet), dtype=np.complex128)
-    weights, power = [], complex(1.0)
-    for _ in range(level):
+    table = np.array([_signs(alphabet)] * (level + 1), np.complex128)
+    power = complex(1.0)
+    for row in table[1:]:
         power *= lam
-        weights.append(list(signs * power))
-    return signs, weights
+        np.multiply(table[0], power, out=row)
+    return table
 
 
-def _fold(nodes: np.ndarray, weights: list[list], out: np.ndarray | None = None,
-          spare: np.ndarray | None = None) -> np.ndarray:
-    """Extend every node by one letter per entry of ``weights``.  Every node
+def _fold(nodes: np.ndarray, weights: np.ndarray, out: np.ndarray,
+          spare: np.ndarray) -> np.ndarray:
+    """Extend every node by one letter per row of ``weights``.  Every node
     of a level is built by this one fold, so growing a block of prefixes
-    gives the bits of growing the whole level.  With ``out`` and ``spare``,
-    arrays at least as large as the last level and the one before it, the
-    last level is grown in ``out`` and the levels before it alternate
-    between ``spare`` and ``out`` instead of new arrays.
+    gives the bits of growing the whole level.  ``out`` and ``spare`` are
+    arrays at least as large as the last level and the one before it: the
+    last level is grown in ``out``, and the levels before it alternate
+    between ``spare`` and ``out``.
 
     A level is the (prefix, letter) grid of the sums node + weight, filled
     one letter's column at a time: one pass over the prefix array each,
@@ -129,12 +130,8 @@ def _fold(nodes: np.ndarray, weights: list[list], out: np.ndarray | None = None,
     alphabet, with the same bits.  Node i of the grown level is prefix
     i // k plus letter i % k, for k letters: lexicographic order."""
     for i, steps in enumerate(weights):
-        size = nodes.size * len(steps)
-        if out is None:
-            grown = np.empty(size, np.complex128)
-        else:
-            grown = (out if (len(weights) - i) % 2 else spare)[:size]
-        grid = grown.reshape(nodes.size, len(steps))
+        grown = (out if (len(weights) - i) % 2 else spare)[:nodes.size * steps.size]
+        grid = grown.reshape(nodes.size, steps.size)
         for j, step in enumerate(steps):
             np.add(nodes, step, out=grid[:, j])
         nodes = grown
@@ -145,22 +142,23 @@ def level_nodes(
     lam: complex, level: int, alphabet: str = TERNARY, threads: int = 1
 ) -> np.ndarray:
     """All nodes of words of length level+1 in the lexicographic order of
-    itertools.product, grown whole by ``_fold``.
+    itertools.product, grown whole by ``_fold`` as the one block of a walk
+    whose blocks hold the level.
 
     ``threads`` is accepted and ignored: the fold holds the interpreter lock
     for nearly all its work, so threads never made it faster.  The keyword
     remains only because the benchmark's thread probe passes it, and is
     removed together with that probe.
     """
-    return _fold(*_letter_weights(complex(lam), level, alphabet))
+    return next(_level_blocks(_letter_weights(complex(lam), level, alphabet), level + 1))
 
 
-def _level_blocks(signs: np.ndarray, weights: list, b: int | None = None,
+def _level_blocks(table: np.ndarray, b: int | None = None,
                   spare: np.ndarray | None = None):
     """Nodes sum a_j lambda^j of all words a_0..a_level over the k letters
-    ``signs``, with the weights a_j lambda^j of ``_letter_weights``, in
-    lexicographic order, as consecutive blocks of k^b nodes (by default the
-    largest k^b within _BLOCK_NODES).
+    of a table of ``_letter_weights``, in lexicographic order, as
+    consecutive blocks of k^b nodes (by default the largest k^b within
+    _BLOCK_NODES).
 
     A level of at most k^b nodes is grown whole.  A deeper one is walked in
     stages: each block grows the last m levels (k^m within _STAGE_NODES, at
@@ -177,20 +175,20 @@ def _level_blocks(signs: np.ndarray, weights: list, b: int | None = None,
     a fold's inner levels are dead once it returns; a block is valid until
     the next one is drawn.  The arrays are allocated once per walk: new
     arrays at every block made the C heap shrink and grow again."""
-    k, level = signs.size, len(weights)
+    level, k = table.shape[0] - 1, table.shape[1]
     if b is None:
         b = _levels_within(k, _BLOCK_NODES)
     if spare is None:
         spare = np.empty(k ** (b - 1), np.complex128)
     if level < b:
-        yield _fold(signs, weights, np.empty(k ** (level + 1), np.complex128), spare)
+        yield _fold(table[0], table[1:], np.empty(k ** (level + 1), np.complex128), spare)
         return
     m = min(_levels_within(k, _STAGE_NODES), b)
     run = k ** (b - m)
     out = np.empty(k ** b, np.complex128)
-    for block in _level_blocks(signs, weights[:-m], max(b - 1, 1), spare):
+    for block in _level_blocks(table[:-m], max(b - 1, 1), spare):
         for s in range(0, block.size, run):
-            yield _fold(block[s:s + run], weights[-m:], out, spare)
+            yield _fold(block[s:s + run], table[-m:], out, spare)
 
 
 def level_blocks(lam: complex, level: int, alphabet: str = TERNARY):
@@ -200,7 +198,7 @@ def level_blocks(lam: complex, level: int, alphabet: str = TERNARY):
     one: copy it to keep it.
 
     The level is checked here, before the first block is asked for."""
-    return _level_blocks(*_letter_weights(complex(lam), level, alphabet))
+    return _level_blocks(_letter_weights(complex(lam), level, alphabet))
 
 
 def nodal_radius(lam: complex, level: int) -> float:

@@ -25,6 +25,8 @@ LANDMARK5_ROOT = newton_root(numerator_polynomial(RationalTypeSeries.parse("1;1,
                              -0.37 + 0.52j)
 GOLDEN = 1j / math.sqrt(2)
 GOLDEN_WINDOW = (-2.2, -1.6, 2.2, 1.6)
+# around the self-similarity centre of landmark 5, a tenth of the attractor wide
+LANDMARK5_ZOOM = (-0.3678, -0.5335, -0.2678, -0.4335)
 
 
 def default_window(lam):
@@ -40,15 +42,16 @@ def numpy_hits(lam, depth, alphabet, window, width, height):
 
 
 def kernel_hits(kernel, lam, depth, alphabet, window, width, height):
-    signs, weights = ifs._letter_weights(complex(lam), depth, alphabet)
-    return _native.attractor_hits(kernel, signs, weights, window, width, height)
+    table = ifs._letter_weights(complex(lam), depth, alphabet)
+    return _native.attractor_hits(kernel, table, window, width, height)
 
 
 def random_case(rng):
     """(lam, depth, alphabet, window, width, height): a general, real,
     purely imaginary or landmark-5 lambda; the default window, one that cuts
-    through the attractor, or one wholly beside it; images of 1 to 160
-    pixels a side."""
+    through the attractor, one wholly beside it, or a zoom around a node of
+    level 3 to 6, where the boxes of the upper levels drop every subtree
+    beside the window; images of 1 to 160 pixels a side."""
     alphabet = ("binary", "ternary")[rng.integers(2)]
     depth = int(rng.integers(0, 15 if alphabet == "binary" else 10))
     sign = float(rng.choice([-1.0, 1.0]))
@@ -57,9 +60,14 @@ def random_case(rng):
            complex(0.0, sign * rng.uniform(0.2, 0.9)),
            LANDMARK5_ROOT)[rng.integers(4)]
     bound = 1.0 / (1.0 - abs(lam))
-    shape = rng.integers(3)
+    shape = rng.integers(4)
     if shape == 0:
         window = default_window(lam)
+    elif shape == 3:
+        nodes = ifs.level_nodes(lam, int(rng.integers(3, 7)), alphabet)
+        centre = nodes[rng.integers(nodes.size)]
+        hx, hy = rng.uniform(1e-3, 1e-2, 2) * bound
+        window = (centre.real - hx, centre.imag - hy, centre.real + hx, centre.imag + hy)
     else:
         reach = 1.2 if shape == 1 else 4.0
         cx, cy = rng.uniform(-reach, reach, 2) * bound
@@ -91,6 +99,7 @@ FIXED_CASES = [
     (0.7j, 14, "binary", None, 101, 203),
     (LANDMARK5_ROOT, 9, "ternary", None, 300, 300),
     (LANDMARK5_ROOT, 9, "ternary", (0.5, 0.5, 2.5, 2.0), 211, 157),
+    (LANDMARK5_ROOT, 12, "ternary", LANDMARK5_ZOOM, 400, 400),
     (0.6 + 0.25j, 9, "ternary", (10.0, 10.0, 11.0, 12.0), 50, 60),
     (0.6 + 0.25j, 9, "ternary", (0.3, -0.2, 1.9, 0.7), 333, 111),
     # a kernel with no rounding slack in x, or in y, calls the box of an
@@ -119,6 +128,10 @@ def test_kernel_hits_equal_the_numpy_path(kernel, rng):
     # every node on the real axis, on a row boundary: a slack shared by x
     # and y would make every box straddle it, and skip nothing
     (0.35, 14, "ternary", None, (2000, 2000), (53973, 19540)),
+    # a zoom: boxes from the root drop every subtree beside the window; a
+    # kernel that boxes only boxes of at most 8 x 8 pixels walks all
+    # 14,348,907 leaves
+    (LANDMARK5_ROOT, 14, "ternary", LANDMARK5_ZOOM, (400, 400), (37368, 563)),
 ])
 def test_kernel_counts(kernel, lam, depth, alphabet, window, px, counts):
     window = window or default_window(lam)

@@ -376,6 +376,14 @@ class TestCertify:
         assert any("(ii)" in reason for reason in report.failure_reasons)
         assert any("connects" in reason for reason in report.failure_reasons)
 
+    def test_margins_inside_the_band_are_inconclusive(self, roots, fixtures, monkeypatch):
+        # a band as wide as |lhs| + |rhs| holds every passing margin
+        monkeypatch.setattr(certificate, "DECISION_BAND", 1.0)
+        report = certify(fixtures[1].series, roots[1], target="M")
+        assert report.verdict == "inconclusive"
+        assert report.failure_reasons == ()
+        assert not report.shared_boundary
+
     def test_m0_target_at_period3(self, roots, fixtures):
         report = certify(fixtures[5].series, roots[5], target="M0")
         assert report.verdict == "accessible_M0"

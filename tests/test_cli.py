@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ifslab
-from ifslab import cli, ifs
+from ifslab import cli, ifs, landmarks
 from ifslab.cli import (
     MAX_PERIODS,
     MAX_PIXELS,
@@ -21,10 +21,14 @@ from ifslab.cli import (
     cmd_attractor,
     main,
 )
-from ifslab.errors import ParseError
+from ifslab.errors import HypothesisViolated, ParseError
 from ifslab.numerics import newton_root
 from ifslab.series import RationalTypeSeries, numerator_polynomial
 from oracles import attractor_points_full, attractor_ppm
+
+
+# a preperiod of 1,603 at |lambda| ~ 0.618, where lambda^(ell+1) underflows to 0
+LONG_PREPERIOD = "1,-1,-1," + ",".join(["0"] * 1600) + ",1;-1"
 
 
 def read_ppm(path):
@@ -280,6 +284,17 @@ class TestAttractor:
             "--px", "50,50", "--overlay", "chain", "--out", str(tmp_path / "x.ppm"),
         ])
         assert code == 2
+
+    def test_chain_past_the_double_range_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "x.ppm"
+        with pytest.warns(HypothesisViolated, match="real"):
+            code = main([
+                "attractor", "--overlay", "chain", "--series", LONG_PREPERIOD,
+                "--seed=0.618,0.0001", "--out", str(out),
+            ])
+        assert code == 3
+        assert not out.exists()
+        assert "numeric failure: ScaleUnderflow" in capsys.readouterr().err
 
     def test_series_root_outside_disk_exit_code(self, tmp_path):
         # Newton from 5+5i converges to the root ~1.234 outside the unit disk
@@ -699,6 +714,14 @@ class TestCertify:
         assert code == 3
         assert not out.exists()
 
+    def test_chain_past_the_double_range_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main([
+            "certify", "--series", LONG_PREPERIOD, "--seed=0.618,0.0001", "--out", str(out),
+        ])
+        assert code == 3
+        assert not out.exists()
+        assert "numeric failure: ScaleUnderflow" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["missing-dir", "dir"])
     def test_unwritable_output_refused_before_certify(
@@ -766,6 +789,13 @@ class TestLandmarksCommand:
 
         monkeypatch.setattr(cli_mod.landmarks, "run_suite", broken_suite)
         assert main(["landmarks", "--id", "1"]) == 1
+
+    def test_failed_verdict_against_its_expectation(self, monkeypatch, capsys):
+        # landmark 6, whose certificate fails, set to expect accessibility
+        text, seed, in_sector, _, shared = landmarks._FIXTURES[6]
+        monkeypatch.setitem(landmarks._FIXTURES, 6, (text, seed, in_sector, True, shared))
+        assert main(["landmarks", "--id", "6"]) == 1
+        assert "verdict failed, expected accessible_M" in capsys.readouterr().out
 
 
 class TestEmptyOutputPath:
