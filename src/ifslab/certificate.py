@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -210,8 +211,8 @@ def _chain(f: RationalTypeSeries, lam: complex, count: int) -> tuple[complex, li
     are read off.  This is the only expression of each of them."""
     ell = f.preperiod
     scale = lam ** (ell + 1)
-    if scale == 0:
-        raise ScaleUnderflow(f"lambda^{ell + 1} underflows to 0: preperiod {ell} is too long")
+    if abs(scale) < sys.float_info.min:
+        raise ScaleUnderflow(f"lambda^{ell + 1} is not a normal double: preperiod {ell} is too long")
     sums = _taylor_sums(f, lam, ell + count)
     fl = sums[ell]
     tail = sums[ell + 1:]
@@ -476,8 +477,8 @@ def _instar_clearance(
     Each block gives one array of node distances, the left-out nodes set to
     inf; the radii are subtracted once from the smallest distance, which has
     the bits of the smallest difference because rounding is monotone.  The
-    blocks and the arrays computed from them reuse memory allocated once per
-    walk: new ones at every block made the C heap shrink and grow again."""
+    arrays computed from the blocks are allocated once per walk: new ones at
+    every block made the C heap shrink and grow again."""
     tol = 1e-9 * (1.0 + abs(znode))
     best = math.inf
     diff = gap = near = np.empty(0)

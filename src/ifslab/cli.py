@@ -13,7 +13,8 @@ x0,y0,x1,y1`` four finite floats with x0 < x1 and y0 < y1, for ``render`` and
 W/(x1 - x0), H/(y1 - y0) must be finite too.  ``--set`` takes m or m0 (any
 case) and ``attractor --overlay`` none, instar or chain.  ``render --depth``
 takes 1..MAX_DEPTH, ``attractor --periods`` 1..MAX_PERIODS, and an overlay
-circle may take at most MAX_CIRCLE_SAMPLES samples.  Every one of these
+circle may take at most MAX_CIRCLE_SAMPLES samples, all circles of an
+overlay together at most MAX_OVERLAY_SAMPLES.  Every one of these
 rules, the level guards of ``attractor`` and ``certify`` (``ifs.MAX_LEVEL``
 of the walk's alphabet, checked by the call that walks), and the output
 paths of ``--out`` and ``--report`` (not empty, in an existing, writable
@@ -65,6 +66,9 @@ MAX_DEPTH = 1024
 #: a default window asks for at most 8 W, a circle far larger than the window
 #: for more.
 MAX_CIRCLE_SAMPLES = 1 << 22
+#: Most samples of all circles of one overlay: 64-sample circles fit at every
+#: instar level the guards admit (3^15 * 64, 2^23 * 64), a deep zoom does not.
+MAX_OVERLAY_SAMPLES = 1 << 30
 #: Most pixels W*H of one image: 2^26 is 192 MiB of RGB.
 MAX_PIXELS = 1 << 26
 
@@ -315,7 +319,7 @@ def _circle_steps(radius: float, window, width: int, height: int) -> int:
 def _draw_circles(window, width: int, height: int, centers, radius: float, steps: int):
     """The (cols, rows) pairs for ``_paint`` of the parametric outlines of
     circles of one radius around ``centers``, an iterable of centre arrays
-    used up one by one (so ``ifs.level_blocks`` may feed it), with ``steps``
+    read once in order (so ``ifs.level_blocks`` may feed it), with ``steps``
     samples per circle, in batches of about ``ifs._BLOCK_NODES`` samples."""
     x0, y0, x1, y1 = window
     sx = width / (x1 - x0)
@@ -343,11 +347,14 @@ def _overlay_circles(
 
     Every refusal of the overlay comes from here, before any level is walked:
     the instar level guard (``ifs.level_blocks`` checks the level when
-    called), ``chain`` without ``--series`` or at a non-root, and
-    MAX_CIRCLE_SAMPLES for every circle.  The instar centres are the level's
-    nodes, walked in blocks only when the circles are drawn."""
+    called), ``chain`` without ``--series`` or at a non-root,
+    MAX_CIRCLE_SAMPLES for every circle and MAX_OVERLAY_SAMPLES for all of
+    them.  The instar centres are the level's nodes, walked in blocks only
+    when the circles are drawn."""
+    count = 1  # centres per circle entry: a whole level, or one chain disk
     if overlay == "instar":
         circles = [(ifs.level_blocks(lam, level, alphabet), ifs.nodal_radius(lam, level))]
+        count = len(ifs._signs(alphabet)) ** (level + 1)
         color = (160, 160, 160)
     elif overlay == "chain":
         if series is None:
@@ -363,8 +370,13 @@ def _overlay_circles(
         color = (0, 160, 0)
     else:
         circles, color = [], None
-    return [(centers, radius, _circle_steps(radius, window, width, height))
-            for centers, radius in circles], color
+    circles = [(centers, radius, _circle_steps(radius, window, width, height))
+               for centers, radius in circles]
+    needed = count * sum(steps for _, _, steps in circles)
+    if needed > MAX_OVERLAY_SAMPLES:
+        raise ParseError(f"the overlay's circles need {needed:.3g} samples in this window, more "
+                         f"than {MAX_OVERLAY_SAMPLES}; widen --window or lower --px or --level")
+    return circles, color
 
 
 def cmd_attractor(

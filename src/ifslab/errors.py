@@ -47,7 +47,7 @@ class UnknownLandmark(IfsLabError):
 
 
 class ScaleUnderflow(IfsLabError):
-    """lambda^(ell+1), the divisor of every chain quantity, rounds to 0."""
+    """lambda^(ell+1), the divisor of every chain quantity, is subnormal or 0."""
 
 
 class ParseError(IfsLabError):

@@ -11,10 +11,11 @@ minus < center < plus, so outputs are deterministic.  Whole levels
 (``level_blocks``), are built by one fold over a table of letter weights,
 so a node has the same bits either way.  The blocks come from a staged
 walk: each grows the last few levels from a long run of prefixes, and the
-runs divide the blocks of the walk of a shallower level.  They stream the
-certificate's clearance and the instar circles of the command line, flat
-in memory, and the numpy path of its point raster, whose compiled walk
-(``_attractor.c``) adds the weights in the fold's order.
+runs divide the blocks of the walk of a shallower level.  Every block is
+an array of its own.  The blocks stream the certificate's clearance and
+the instar circles of the command line, flat in memory, and the numpy path
+of its point raster, whose compiled walk (``_attractor.c``) adds the
+weights in the fold's order.
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ def node(word: Word, lam: complex) -> complex:
 
 #: Nodes per block of the level walks, whose blocks hold k^b nodes for the
 #: k letters and the largest such b (``_levels_within``): 3^9 ternary, 2^14
-#: binary.  A walk's working memory stays under 2.5 arrays of this many
-#: complex values at any level (``_level_blocks``).  Ternary blocks of 3^8
-#: made the certificate at p = 7 slower, 39 -> 47 ms on a 2-core x86_64
-#: machine.
+#: binary.  Besides its last block, which the caller may keep, a walk holds
+#: under 2.5 arrays of this many nodes (``_level_blocks``).  Ternary blocks
+#: of 3^8 made the certificate at p = 7 slower, 39 -> 47 ms on a 2-core
+#: x86_64 machine.
 _BLOCK_NODES = 3 ** 9
 
 #: Bound on the nodes that each stage of ``_level_blocks`` grows from one
@@ -115,26 +116,21 @@ def _letter_weights(lam: complex, level: int, alphabet: str) -> np.ndarray:
     return table
 
 
-def _fold(nodes: np.ndarray, weights: np.ndarray, out: np.ndarray,
-          spare: np.ndarray) -> np.ndarray:
+def _fold(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Extend every node by one letter per row of ``weights``.  Every node
     of a level is built by this one fold, so growing a block of prefixes
-    gives the bits of growing the whole level.  ``out`` and ``spare`` are
-    arrays at least as large as the last level and the one before it: the
-    last level is grown in ``out``, and the levels before it alternate
-    between ``spare`` and ``out``.
+    gives the bits of growing the whole level.
 
-    A level is the (prefix, letter) grid of the sums node + weight, filled
+    A level is a new (prefix, letter) grid of the sums node + weight, filled
     one letter's column at a time: one pass over the prefix array each,
     where a broadcast over the grid would run inner loops as short as the
     alphabet, with the same bits.  Node i of the grown level is prefix
     i // k plus letter i % k, for k letters: lexicographic order."""
-    for i, steps in enumerate(weights):
-        grown = (out if (len(weights) - i) % 2 else spare)[:nodes.size * steps.size]
-        grid = grown.reshape(nodes.size, steps.size)
+    for steps in weights:
+        grid = np.empty((nodes.size, steps.size), np.complex128)
         for j, step in enumerate(steps):
             np.add(nodes, step, out=grid[:, j])
-        nodes = grown
+        nodes = grid.reshape(-1)
     return nodes
 
 
@@ -142,19 +138,18 @@ def level_nodes(
     lam: complex, level: int, alphabet: str = TERNARY, threads: int = 1
 ) -> np.ndarray:
     """All nodes of words of length level+1 in the lexicographic order of
-    itertools.product, grown whole by ``_fold`` as the one block of a walk
-    whose blocks hold the level.
+    itertools.product, grown whole by ``_fold``.
 
     ``threads`` is accepted and ignored: the fold holds the interpreter lock
     for nearly all its work, so threads never made it faster.  The keyword
     remains only because the benchmark's thread probe passes it, and is
     removed together with that probe.
     """
-    return next(_level_blocks(_letter_weights(complex(lam), level, alphabet), level + 1))
+    table = _letter_weights(complex(lam), level, alphabet)
+    return _fold(table[0], table[1:])
 
 
-def _level_blocks(table: np.ndarray, b: int | None = None,
-                  spare: np.ndarray | None = None):
+def _level_blocks(table: np.ndarray, b: int | None = None):
     """Nodes sum a_j lambda^j of all words a_0..a_level over the k letters
     of a table of ``_letter_weights``, in lexicographic order, as
     consecutive blocks of k^b nodes (by default the largest k^b within
@@ -168,34 +163,24 @@ def _level_blocks(table: np.ndarray, b: int | None = None,
     has one size, no fold below the top starts from a handful of prefixes,
     every node has the bits of ``level_nodes``, and the stages above hold
     half a block between them for a ternary walk, one block for a binary
-    one.
-
-    Each stage grows its blocks in one array of its own, and the levels
-    inside a fold go to ``spare``, k^(b-1) nodes shared by all stages, since
-    a fold's inner levels are dead once it returns; a block is valid until
-    the next one is drawn.  The arrays are allocated once per walk: new
-    arrays at every block made the C heap shrink and grow again."""
+    one."""
     level, k = table.shape[0] - 1, table.shape[1]
     if b is None:
         b = _levels_within(k, _BLOCK_NODES)
-    if spare is None:
-        spare = np.empty(k ** (b - 1), np.complex128)
     if level < b:
-        yield _fold(table[0], table[1:], np.empty(k ** (level + 1), np.complex128), spare)
+        yield _fold(table[0], table[1:])
         return
     m = min(_levels_within(k, _STAGE_NODES), b)
     run = k ** (b - m)
-    out = np.empty(k ** b, np.complex128)
-    for block in _level_blocks(table[:-m], max(b - 1, 1), spare):
+    for block in _level_blocks(table[:-m], max(b - 1, 1)):
         for s in range(0, block.size, run):
-            yield _fold(block[s:s + run], table[-m:], out, spare)
+            yield _fold(block[s:s + run], table[-m:])
 
 
 def level_blocks(lam: complex, level: int, alphabet: str = TERNARY):
     """The nodes of ``level_nodes(lam, level, alphabet)``, bit for bit and in
     the same order, as consecutive blocks of one size, at most
-    ``_BLOCK_NODES`` (``_level_blocks``).  A block is overwritten by the next
-    one: copy it to keep it.
+    ``_BLOCK_NODES`` (``_level_blocks``).
 
     The level is checked here, before the first block is asked for."""
     return _level_blocks(_letter_weights(complex(lam), level, alphabet))

@@ -12,21 +12,18 @@ from ifslab.series import taylor_eval
 
 def grow_nodes_broadcast(
     start: np.ndarray, lam: complex, level: int, signs: np.ndarray,
-    power: complex = complex(1.0), scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    power: complex = complex(1.0),
 ) -> tuple[np.ndarray, complex]:
     """Extend every start node by ``level`` more letters, lexicographically.
 
     ``power`` is the weight lambda^k of the last letter of the start words
     (length k+1); the weight of the last letter of the grown words is
     returned with them.  Every node of a level is built by this one fold, so
-    growing a block of prefixes gives the bits of growing the whole level.
-    With ``scratch``, a pair of arrays large enough for the last level, the
-    grown levels alternate between the two instead of new arrays."""
+    growing a block of prefixes gives the bits of growing the whole level."""
     nodes = start
-    for i in range(level):
+    for _ in range(level):
         power *= lam
-        size = nodes.size * signs.size
-        out = np.empty(size, np.complex128) if scratch is None else scratch[i % 2][:size]
+        out = np.empty(nodes.size * signs.size, np.complex128)
         np.add(nodes[:, None], signs[None, :] * power, out=out.reshape(nodes.size, -1))
         nodes = out
     return nodes, power

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -516,7 +517,7 @@ class TestStreamedCertificate:
         for block in self.BLOCKS:
             monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
             for n in range(12):
-                nodes = np.concatenate([b.copy() for b in level_blocks(lam, n, alphabet)])
+                nodes = np.concatenate(list(level_blocks(lam, n, alphabet)))
                 assert nodes.tobytes() == level_nodes(lam, n, alphabet).tobytes()
                 disk = chain_disk(f, lam, n)
                 znode = certificate._chain(f, lam, n + 1)[1][n]
@@ -539,6 +540,22 @@ class TestStreamedCertificate:
                 lam, n, BINARY, disks[n].center, disks[n].radius, nodes[n]
             )
             assert level.disjoint_margin.hex() == want.hex(), n
+
+    def test_clearance_memory_is_flat_in_level(self):
+        # two periods at p = 7 walk ternary levels 0..13; the deepest alone
+        # is 3^14 complex nodes, 77 MB, and the walk holds a few blocks
+        f = RationalTypeSeries.parse("1,-1;1,1,-1,1,-1,-1,1")
+        lam = newton_root(numerator_polynomial(f), 0.389 + 0.594j)
+        assert abs(lam) == pytest.approx(0.71, abs=0.01)
+        verify_chain(f, lam, 2, "M")
+        tracemalloc.start()
+        try:
+            geo = verify_chain(f, lam, 2, "M")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(geo.levels) == 14
+        assert peak < 3 * 2**20
 
     @pytest.mark.parametrize("target, which", [("M", "iii"), ("M0", "iii'")])
     def test_period7_report_has_one_record_per_condition_and_level(

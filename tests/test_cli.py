@@ -29,6 +29,8 @@ from oracles import attractor_points_full, attractor_ppm
 
 # a preperiod of 1,603 at |lambda| ~ 0.618, where lambda^(ell+1) underflows to 0
 LONG_PREPERIOD = "1,-1,-1," + ",".join(["0"] * 1600) + ",1;-1"
+# a preperiod of 1,483, where lambda^(ell+1) ~ 7.3e-311 is subnormal
+SUBNORMAL_PREPERIOD = "1,-1,-1," + ",".join(["0"] * 1480) + ",1;-1"
 
 
 def read_ppm(path):
@@ -296,6 +298,17 @@ class TestAttractor:
         assert not out.exists()
         assert "numeric failure: ScaleUnderflow" in capsys.readouterr().err
 
+    def test_subnormal_chain_scale_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "x.ppm"
+        with pytest.warns(HypothesisViolated, match="real"):
+            code = main([
+                "attractor", "--overlay", "chain", "--series", SUBNORMAL_PREPERIOD,
+                "--seed=0.618,0.0001", "--out", str(out),
+            ])
+        assert code == 3
+        assert not out.exists()
+        assert "numeric failure: ScaleUnderflow" in capsys.readouterr().err
+
     def test_series_root_outside_disk_exit_code(self, tmp_path):
         # Newton from 5+5i converges to the root ~1.234 outside the unit disk
         code = main([
@@ -389,6 +402,10 @@ class TestAttractor:
                             "--window=0,0,1e-6,1e-6", "--px", "400,400"], 2),
         "chain-circle-ceiling": (["--overlay", "chain", "--series", "1,-1,-1;1",
                                   "--window=0,0,1e-6,1e-6", "--px", "400,400"], 2),
+        # 3^14 level-13 circles of about 2,200 samples each: every one is
+        # under the one-circle ceiling, all of them together are not
+        "overlay-ceiling": (["--overlay", "instar", "--level", "13",
+                             "--window=-0.05,-0.05,0.05,0.05", "--px", "2000,2000"], 2),
         # an empty --series is a series to parse, not an absent one
         "empty-series": (["--series", ""], 2),
         "chain-empty-series": (["--overlay", "chain", "--series", ""], 2),
@@ -718,6 +735,16 @@ class TestCertify:
         out = tmp_path / "x.json"
         code = main([
             "certify", "--series", LONG_PREPERIOD, "--seed=0.618,0.0001", "--out", str(out),
+        ])
+        assert code == 3
+        assert not out.exists()
+        assert "numeric failure: ScaleUnderflow" in capsys.readouterr().err
+
+    def test_subnormal_chain_scale_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main([
+            "certify", "--series", SUBNORMAL_PREPERIOD, "--seed=0.618,0.0001",
+            "--out", str(out),
         ])
         assert code == 3
         assert not out.exists()

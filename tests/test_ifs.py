@@ -157,10 +157,9 @@ class TestLevelBlocks:
     ])
     @pytest.mark.parametrize("block", BLOCKS)
     def test_blocks_are_the_level_bit_for_bit(self, monkeypatch, alphabet, level, block):
-        # each block is overwritten by the next, so copy each to keep it
         monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
         lam = 0.52 + 0.31j
-        blocks = [b.copy() for b in level_blocks(lam, level, alphabet)]
+        blocks = list(level_blocks(lam, level, alphabet))
         assert all(b.size <= block for b in blocks)
         joined = np.concatenate(blocks)
         expected = level_nodes(lam, level, alphabet)
@@ -200,6 +199,18 @@ class TestLevelBlocks:
         k = 3 if alphabet == "ternary" else 2
         sizes = {b.size for b in level_blocks(0.52 + 0.31j, level, alphabet)}
         assert sizes == {k ** ifs._levels_within(k, block)}
+
+    @pytest.mark.parametrize("block", [ifs._BLOCK_NODES, 20])
+    @pytest.mark.parametrize("alphabet, level", [("ternary", 11), ("binary", 16)])
+    def test_a_kept_block_outlives_the_next(self, monkeypatch, block, alphabet, level):
+        # every block is an array of its own, which no later block reuses
+        monkeypatch.setattr(ifs, "_BLOCK_NODES", block)
+        blocks = level_blocks(0.52 + 0.31j, level, alphabet)
+        first = next(blocks)
+        kept = first.tobytes()
+        second = next(blocks)
+        assert second.tobytes() != kept
+        assert first.tobytes() == kept
 
     @pytest.mark.parametrize("alphabet, level", [("ternary", 14), ("binary", 22)])
     def test_folds_start_from_long_runs_of_prefixes(self, monkeypatch, alphabet, level):
@@ -253,7 +264,7 @@ class TestFoldOracle:
         for level in range(11):
             expected = level_nodes_broadcast(lam, level, alphabet).tobytes()
             assert level_nodes(lam, level, alphabet).tobytes() == expected, level
-            blocks = [b.copy() for b in level_blocks(lam, level, alphabet)]
+            blocks = list(level_blocks(lam, level, alphabet))
             assert np.concatenate(blocks).tobytes() == expected, level
 
 
