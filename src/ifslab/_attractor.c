@@ -1,5 +1,5 @@
-/* Point raster of one level of the IFS {-1 + lz, lz, 1 + lz}, built and
-   loaded by ifslab/_native.py.
+/* Point raster of one level of the IFS {-1 + lz, lz, 1 + lz}, and the
+   outlines of overlay circles; built and loaded by ifslab/_native.py.
 
    ifs_attractor_hits sets hit[r * W + c] = 1 for every pixel (c, r) of a
    W x H image that a node of the level falls on: the mask of the numpy
@@ -24,10 +24,12 @@
    positive numbers, and floor) never decreases, in x, or never increases,
    in y.  The subtree is skipped when that pixel range lies off the image,
    when it is one pixel (painted here: the subtree has at least one leaf),
-   or when it spans at most 8 x 8 pixels that are all hit inside the image.
-   The mask is a set, so what is skipped cannot change it.  Nodes of the
-   last two levels above the leaves are not boxed: a box costs about what
-   painting the 4 or 9 leaves under such a node does.
+   or when it spans at most 8 x 8 pixels that are all hit inside the image
+   (each row of those read as one 8-byte word, masked to the row, where
+   8 bytes from the row's first pixel lie within the image; byte by byte
+   elsewhere).  The mask is a set, so what is skipped cannot change it.
+   Nodes of the last two levels above the leaves are not boxed: a box costs
+   about what painting the 4 or 9 leaves under such a node does.
 
    The box bound, for x (y alike, with the imaginary parts).  Let
    u = DBL_EPSILON / 2, m_j the largest |w_j| over the letters, and
@@ -46,14 +48,32 @@
    straddle the row boundary that the real axis falls on.
 
    Returns 0, with counts[0] the leaves walked and counts[1] the subtrees
-   skipped, or -1 for more than 3 letters or a level outside 0..63. */
+   skipped, or -1 for more than 3 letters or a level outside 0..63.
+
+   ifs_circle_hits sets img[r * W + c] = value for every sample t of the
+   circle around each of n centres (cr, ci), given as (re, im) pairs:
+   column floor((cr + dx[t] - x0) * sx) and row floor((y1 - (ci + dy[t])) * sy),
+   the expressions of cli._draw_circles in their order, kept when
+   0 <= c < W and 0 <= r < H as above.  The offsets dx, dy (radius times
+   cos t and sin t) and the scales sx = W / (x1 - x0), sy = H / (y1 - y0)
+   come from numpy, so no sample depends on the C library's cos and sin. */
 
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define MAX_LEVELS 64
 #define BOX_PIXELS 8
+
+/* the first n = 1..8 bytes, in memory order, of a word loaded with memcpy */
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+#define ROW_MASK(n) (~UINT64_C(0) << 8 * (8 - (n)))
+#else
+#define ROW_MASK(n) (~UINT64_C(0) >> 8 * (8 - (n)))
+#endif
+#define ONES (~UINT64_C(0) / 255)  /* 0x01 in every byte */
+#define HIGHS (ONES << 7)          /* 0x80 in every byte */
 
 typedef double pair __attribute__((vector_size(16)));
 
@@ -63,7 +83,7 @@ struct walk {
     int k, levels, last;
     pair size, extent;         /* (W, H) and (x1 - x0, y1 - y0) */
     double x0, y1;
-    long width, height;
+    long width, height, pixels;
     unsigned char *hit;
     int64_t leaves, skipped;
 };
@@ -92,10 +112,22 @@ static int known(struct walk *s, pair p, int d)
     }
     if (c1 - c0 >= BOX_PIXELS || r1 - r0 >= BOX_PIXELS)
         return 0;
-    for (long r = r0 < 0 ? 0 : r0; r <= r1 && r < s->height; r++)
-        for (long c = c0 < 0 ? 0 : c0; c <= c1 && c < s->width; c++)
-            if (!s->hit[r * s->width + c])
+    c0 = c0 < 0 ? 0 : c0;
+    c1 = c1 < s->width ? c1 : s->width - 1;
+    for (long r = r0 < 0 ? 0 : r0; r <= r1 && r < s->height; r++) {
+        long i = r * s->width + c0;
+        if (i + 8 <= s->pixels) {
+            uint64_t v;
+            memcpy(&v, s->hit + i, 8);
+            v |= ~ROW_MASK(c1 - c0 + 1);  /* bytes past the row count as hit */
+            if ((v - ONES) & ~v & HIGHS)    /* some byte of v is 0 */
                 return 0;
+        } else {
+            for (long c = c0; c <= c1; c++)
+                if (!s->hit[r * s->width + c])
+                    return 0;
+        }
+    }
     return 1;
 }
 
@@ -126,7 +158,8 @@ int ifs_attractor_hits(const double (*w)[2], int k, int levels,
 {
     struct walk s = {.k = k, .levels = levels, .last = levels - 3,
                      .size = {(double)width, (double)height}, .extent = {dx, dy},
-                     .x0 = x0, .y1 = y1, .width = width, .height = height, .hit = hit};
+                     .x0 = x0, .y1 = y1, .width = width, .height = height,
+                     .pixels = width * height, .hit = hit};
     pair m[MAX_LEVELS], b = {0, 0}, t = {0, 0};
     if (k < 1 || k > 3 || levels < 0 || levels >= MAX_LEVELS)
         return -1;
@@ -148,4 +181,17 @@ int ifs_attractor_hits(const double (*w)[2], int k, int levels,
     counts[0] = s.leaves;
     counts[1] = s.skipped;
     return 0;
+}
+
+void ifs_circle_hits(const double (*centres)[2], long n, const double *dx, const double *dy,
+                     long steps, double x0, double y1, double sx, double sy,
+                     long width, long height, unsigned char *img, unsigned char value)
+{
+    for (long i = 0; i < n; i++)
+        for (long t = 0; t < steps; t++) {
+            double c = (centres[i][0] + dx[t] - x0) * sx;
+            double r = (y1 - (centres[i][1] + dy[t])) * sy;
+            if (c >= 0 && c < width && r >= 0 && r < height)
+                img[(long)r * width + (long)c] = value;
+        }
 }

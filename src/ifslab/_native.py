@@ -1,14 +1,15 @@
-"""Build and load the compiled attractor walk, ``_attractor.c``.
+"""Build and load ``_attractor.c``, one library of two functions: the
+attractor's point walk ``ifs_attractor_hits`` and overlay circles ``ifs_circle_hits``.
 
-The kernel is compiled on first use with the system ``cc`` into the per-user
+The library is compiled on first use with the system ``cc`` into the per-user
 cache folder (``$XDG_CACHE_HOME/ifslab``, by default ``~/.cache/ifslab``)
 and loaded with ``ctypes``.  The file name holds a CRC-32 of the source,
 the flags, the machine and the Python cache tag, so an edited source or
 another interpreter builds a file of its own; the build writes a temporary
 name and renames it, so a reader never loads a half-written file.  A cached file that
-does not load is built again.  When no compiler runs, the build fails or the
-folder cannot be written, ``attractor_kernel`` returns None and the caller
-keeps its numpy path, which gives the same bytes.
+does not load or lacks a function is built again.  When no compiler runs, the build
+fails or the folder cannot be written, ``attractor_kernel`` returns None, for both
+functions, and the caller keeps its numpy path, which gives the same bytes.
 
 The flags keep the arithmetic IEEE double, operation by operation:
 ``-ffp-contract=off`` forbids fused multiply-adds and ``-fno-fast-math``
@@ -33,13 +34,16 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_attractor.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
-_ARGTYPES = [
-    np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"), ctypes.c_int, ctypes.c_int,
-    ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-    ctypes.c_long, ctypes.c_long,
-    np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE")),
-    np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE")),
-]
+_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_IMAGE = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
+_D, _L = ctypes.c_double, ctypes.c_long
+_FUNCTIONS = {
+    "ifs_attractor_hits": (ctypes.c_int, [
+        _DOUBLES, ctypes.c_int, ctypes.c_int, _D, _D, _D, _D, _L, _L, _IMAGE,
+        np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))]),
+    "ifs_circle_hits": (None, [
+        _DOUBLES, _L, _DOUBLES, _DOUBLES, _L, _D, _D, _D, _D, _L, _L, _IMAGE, ctypes.c_ubyte]),
+}
 
 
 def library_path() -> Path:
@@ -54,52 +58,55 @@ def library_path() -> Path:
     return Path(cache, "ifslab", f"attractor-{key:08x}.so")
 
 
-def _build(path: Path) -> None:
-    """Compile the source to ``path`` through a temporary file in its folder."""
+def _build(path: Path):
+    """Compile the source to ``path`` through a temporary file in its folder, loaded
+    by that file's name: ``dlopen`` of ``path`` would return an older handle."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
         subprocess.run(["cc", *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
                        check=True, capture_output=True, timeout=120)
+        library = _load(tmp)
         os.replace(tmp, path)
+        return library
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
 def _load(path: Path):
-    function = ctypes.CDLL(str(path)).ifs_attractor_hits
-    function.argtypes = _ARGTYPES
-    function.restype = ctypes.c_int
-    return function
+    library = ctypes.CDLL(str(path))
+    for name, (restype, argtypes) in _FUNCTIONS.items():
+        function = getattr(library, name)
+        function.restype, function.argtypes = restype, argtypes
+    return library
 
 
 @functools.cache
 def attractor_kernel():
-    """The ``ifs_attractor_hits`` function of ``_attractor.c``, loaded once per
-    process, or None when it cannot be built or loaded."""
+    """The library of ``_attractor.c``, loaded once per process, or None when
+    it cannot be built or loaded: both of its functions, or neither."""
     try:
         path = library_path()
         try:
             return _load(path)
         except (OSError, AttributeError):  # not built yet, or does not load
-            _build(path)
-            return _load(path)
+            return _build(path)
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
 
 
 def attractor_hits(kernel, table: np.ndarray, window, width: int,
                    height: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """The W*H boolean mask of the pixels hit by the nodes of the level whose
-    ``ifs._letter_weights`` table is ``table``, in ``window`` (x0, y0, x1,
-    y1), with the kernel's counts of leaves walked and subtrees skipped."""
+    """The flat W*H uint8 image, 1 on the pixels hit by the nodes of the level
+    whose ``ifs._letter_weights`` table is ``table`` in ``window`` (x0, y0,
+    x1, y1), else 0, with the kernel's counts of leaves walked and subtrees skipped."""
     x0, y0, x1, y1 = window
-    hit = np.zeros(height * width, dtype=bool)
+    img = np.zeros(height * width, dtype=np.uint8)
     counts = np.zeros(2, dtype=np.int64)
-    status = kernel(table.view(np.float64), table.shape[1], table.shape[0] - 1, x0, y1,
-                    x1 - x0, y1 - y0, width, height, hit.view(np.uint8), counts)
+    status = kernel.ifs_attractor_hits(table.view(np.float64), table.shape[1], table.shape[0] - 1,
+                                       x0, y1, x1 - x0, y1 - y0, width, height, img, counts)
     if status != 0:
         raise ValueError(f"the attractor kernel refused level {table.shape[0] - 1}")
-    return hit, (int(counts[0]), int(counts[1]))
+    return img, (int(counts[0]), int(counts[1]))

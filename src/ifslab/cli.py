@@ -239,37 +239,12 @@ def cmd_render(
 def _hits(pixels, width: int, height: int) -> np.ndarray:
     """The W*H boolean mask of the pixels that a (cols, rows) pair of
     ``pixels`` names.  The pairs hold floored float indices; those outside
-    the image are dropped.
-
-    A pair whose smallest and largest indices all lie in the image (no NaN,
-    which fails every comparison) needs no mask: its flat indices
-    rows * W + cols are formed in ``rows`` itself, exactly, since they are
-    integers below W * H <= MAX_PIXELS, and cast once.  So ``rows`` may be
-    overwritten."""
+    the image, and NaN, which fails every comparison, are dropped."""
     hit = np.zeros(height * width, dtype=bool)
     for cols, rows in pixels:
-        if (cols.min() >= 0 and cols.max() < width
-                and rows.min() >= 0 and rows.max() < height):
-            rows *= width
-            rows += cols
-            hit[rows.astype(np.intp)] = True
-        else:
-            keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
-            hit[rows[keep].astype(np.intp) * width + cols[keep].astype(np.intp)] = True
+        keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
+        hit[rows[keep].astype(np.intp) * width + cols[keep].astype(np.intp)] = True
     return hit
-
-
-def _fill(rgb: np.ndarray, hit: np.ndarray, color) -> None:
-    """Copy ``color`` to the pixels of ``rgb`` that the flat mask ``hit``
-    sets, with no array of the hit pixels' indices."""
-    np.copyto(rgb.reshape(-1, 3), np.array(color, dtype=np.uint8), where=hit[:, None])
-
-
-def _paint(rgb: np.ndarray, pixels, color) -> None:
-    """Paint ``color`` on every pixel that a (cols, rows) pair of ``pixels``
-    names (``_hits``): hits are marked in one mask and painted once."""
-    height, width, _ = rgb.shape
-    _fill(rgb, _hits(pixels, width, height), color)
 
 
 def _point_pixels(blocks, window, width: int, height: int):
@@ -284,7 +259,7 @@ def _point_pixels(blocks, window, width: int, height: int):
 
 def _point_hits(lam: complex, depth: int, alphabet: str, window, width: int,
                 height: int) -> np.ndarray:
-    """The W*H mask of the pixels that the level-``depth`` nodes fall on.
+    """The flat W*H uint8 image, 1 where the level-``depth`` nodes fall, else 0.
 
     The compiled walk of ``_native`` marks it when it can be built and
     loaded; it skips subtrees whose pixels are known.  Otherwise the blocks
@@ -298,7 +273,7 @@ def _point_hits(lam: complex, depth: int, alphabet: str, window, width: int,
     if kernel is not None:
         return _native.attractor_hits(kernel, table, window, width, height)[0]
     blocks = ifs._level_blocks(table)
-    return _hits(_point_pixels(blocks, window, width, height), width, height)
+    return _hits(_point_pixels(blocks, window, width, height), width, height).view(np.uint8)
 
 
 def _circle_steps(radius: float, window, width: int, height: int) -> int:
@@ -316,25 +291,47 @@ def _circle_steps(radius: float, window, width: int, height: int) -> int:
     return max(64, int(needed))
 
 
-def _draw_circles(window, width: int, height: int, centers, radius: float, steps: int):
-    """The (cols, rows) pairs for ``_paint`` of the parametric outlines of
-    circles of one radius around ``centers``, an iterable of centre arrays
-    read once in order (so ``ifs.level_blocks`` may feed it), with ``steps``
-    samples per circle, in batches of about ``ifs._BLOCK_NODES`` samples."""
+def _circle_samples(circles, window, width: int, height: int):
+    """(centres, sx, sy, dx, dy) for each centre array of the ``circles`` of
+    ``_overlay_circles``, read once in order (so ``ifs.level_blocks`` may
+    feed them): the pixel scales W/(x1-x0), H/(y1-y0) and the offsets
+    radius cos t, radius sin t of a circle's samples from its centre."""
     x0, y0, x1, y1 = window
-    sx = width / (x1 - x0)
-    sy = height / (y1 - y0)
-    t = 2.0 * np.pi * np.arange(steps) / steps
-    dx = radius * np.cos(t)
-    dy = radius * np.sin(t)
-    batch = max(1, ifs._BLOCK_NODES // steps)
+    sx, sy = width / (x1 - x0), height / (y1 - y0)
+    for centers, radius, steps in circles:
+        t = 2.0 * np.pi * np.arange(steps) / steps
+        dx, dy = radius * np.cos(t), radius * np.sin(t)
+        for block in centers:
+            yield block, sx, sy, dx, dy
+
+
+def _draw_circles(circles, window, width: int, height: int):
+    """The (cols, rows) pairs for ``_hits`` of the samples of ``_circle_samples``
+    in batches of about ``ifs._BLOCK_NODES``: the compiled circles' reference."""
+    x0, y1 = window[0], window[3]
     # (xs - x0) * sx floors some samples to other pixels than the attractor
     # points' (x - x0) * W / (x1 - x0); images depend on both staying as is
-    for block in centers:
+    for block, sx, sy, dx, dy in _circle_samples(circles, window, width, height):
+        batch = max(1, ifs._BLOCK_NODES // dx.size)
         for i in range(0, block.size, batch):
             c = block[i:i + batch]
             yield (np.floor((c.real[:, None] + dx - x0) * sx),
                    np.floor((y1 - (c.imag[:, None] + dy)) * sy))
+
+
+def _circle_hits(img: np.ndarray, circles, window, width: int, height: int) -> None:
+    """Set 2 in the flat W*H index image ``img`` on every pixel of the ``circles``
+    of ``_overlay_circles``: in the compiled library of ``_native`` when it
+    loads, else through one ``_hits`` mask of ``_draw_circles``, same bits."""
+    from . import _native
+
+    kernel = _native.attractor_kernel()
+    if kernel is None:
+        img[_hits(_draw_circles(circles, window, width, height), width, height)] = 2
+    else:
+        for block, sx, sy, dx, dy in _circle_samples(circles, window, width, height):
+            kernel.ifs_circle_hits(block.view(np.float64), block.size, dx, dy, dx.size,
+                                   window[0], window[3], sx, sy, width, height, img, 2)
 
 
 def _overlay_circles(
@@ -384,22 +381,20 @@ def cmd_attractor(
     width: int, height: int, out: str, overlay: str, overlay_level: int,
     series: RationalTypeSeries | None, periods: int,
 ) -> int:
-    """Point raster of the level-``depth`` nodes with the circles of
-    ``overlay`` ("none", "instar" or "chain") drawn over it."""
+    """Point raster of the level-``depth`` nodes with the circles of ``overlay``
+    ("none", "instar" or "chain") drawn over it, as one index image (0
+    background, 1 point, 2 circle) coloured by one palette lookup."""
     if window is None:
         bound = 1.0 / (1.0 - abs(lam))
         window = (-bound, -bound, bound, bound)
     circles, color = _overlay_circles(
         lam, alphabet, window, width, height, overlay, overlay_level, series, periods
     )
-    rgb = np.full((height, width, 3), 255, dtype=np.uint8)
-    _fill(rgb, _point_hits(lam, depth, alphabet, window, width, height), (0, 0, 0))
+    img = _point_hits(lam, depth, alphabet, window, width, height)
     if circles:
-        _paint(rgb, (
-            pixels for centers, radius, steps in circles
-            for pixels in _draw_circles(window, width, height, centers, radius, steps)
-        ), color)
-    write_ppm(out, rgb)
+        _circle_hits(img, circles, window, width, height)
+    palette = np.array([(255, 255, 255), (0, 0, 0), color or (0, 0, 0)], dtype=np.uint8)
+    write_ppm(out, np.take(palette, img.reshape(height, width), axis=0))
     return EXIT_OK
 
 

@@ -12,10 +12,10 @@ minus < center < plus, so outputs are deterministic.  Whole levels
 so a node has the same bits either way.  The blocks come from a staged
 walk: each grows the last few levels from a long run of prefixes, and the
 runs divide the blocks of the walk of a shallower level.  Every block is
-an array of its own.  The blocks stream the certificate's clearance and
-the instar circles of the command line, flat in memory, and the numpy path
-of its point raster, whose compiled walk (``_attractor.c``) adds the
-weights in the fold's order.
+an array of its own.  The blocks stream, flat in memory, the certificate's
+clearance, the centres of the command line's instar circles (drawn by
+``_attractor.c``) and the numpy path of its point raster, whose compiled
+walk in that file adds the weights in the fold's order.
 """
 
 from __future__ import annotations

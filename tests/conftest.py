@@ -78,8 +78,9 @@ def random_rooted_series(rng, period):
 
 @pytest.fixture
 def numpy_points(monkeypatch):
-    """The attractor's point raster on its numpy path, as when the compiled
-    walk cannot be built."""
+    """The attractor's points and overlay circles on their numpy path, as
+    when the compiled library cannot be built: ``attractor_kernel`` returns
+    both of its functions or neither."""
     from ifslab import _native
 
     monkeypatch.setattr(_native, "attractor_kernel", lambda: None)
@@ -87,8 +88,8 @@ def numpy_points(monkeypatch):
 
 @pytest.fixture
 def kernel():
-    """The compiled attractor walk; the test is skipped where no C compiler
-    builds it (CI asserts that it builds)."""
+    """The compiled attractor library; the test is skipped where no C
+    compiler builds it (CI asserts that it builds)."""
     from ifslab import _native
 
     loaded = _native.attractor_kernel()

@@ -1,8 +1,10 @@
-"""The compiled attractor walk (``_attractor.c``, loaded by ``ifslab._native``)
-against the numpy path it replaces: the same hit masks bit for bit, its box
-counts pinned, and a loader that falls back to numpy, with the same bytes,
-whenever the kernel cannot be built or loaded."""
+"""The compiled attractor image (``_attractor.c``, loaded by ``ifslab._native``)
+against the numpy path it replaces: the same point images and overlay
+circles bit for bit, the point walk's box counts pinned, and a loader that
+falls back to numpy, with the same bytes, whenever the library cannot be
+built or loaded."""
 
+import importlib
 import math
 import os
 import stat
@@ -140,6 +142,138 @@ def test_kernel_counts(kernel, lam, depth, alphabet, window, px, counts):
     assert np.array_equal(hit, numpy_hits(lam, depth, alphabet, window, *px))
 
 
+def circle_images(circles_of, window, width, height, points):
+    """The compiled circles of ``cli._circle_hits`` drawn over the index
+    image ``points``, and the numpy reference: 2 on the mask of
+    ``cli._hits(cli._draw_circles(...))``, ``points`` elsewhere.  Each side
+    gets fresh circles from ``circles_of()``: instar centres are read once."""
+    img = points.copy()
+    cli._circle_hits(img, circles_of(), window, width, height)
+    mask = cli._hits(cli._draw_circles(circles_of(), window, width, height), width, height)
+    return img, np.where(mask, np.uint8(2), points)
+
+
+def random_instar_case(rng):
+    """(lam, alphabet, level, window, width, height): instar levels 0 to 8
+    in the default window, one that cuts through the attractor, one beside
+    it, or a zoom onto the outline of a circle of level 0 to 3, narrower
+    than the circle, where most samples leave the image and a circle takes
+    far more than 64 of them."""
+    alphabet = ("binary", "ternary")[rng.integers(2)]
+    sign = float(rng.choice([-1.0, 1.0]))
+    lam = (random_lambda(rng, 0.3, 0.9),
+           complex(sign * rng.uniform(0.2, 0.9), 0.0),
+           complex(0.0, sign * rng.uniform(0.2, 0.9)),
+           LANDMARK5_ROOT)[rng.integers(4)]
+    bound = 1.0 / (1.0 - abs(lam))
+    shape = rng.integers(4)
+    level = int(rng.integers(0, 4 if shape == 3 else 9))
+    width, height = (int(v) for v in rng.integers(1, 65 if shape == 3 else 161, 2))
+    if shape == 0:
+        window = default_window(lam)
+    elif shape == 3:
+        nodes = ifs.level_nodes(lam, level, alphabet)
+        radius = ifs.nodal_radius(lam, level)
+        edge = nodes[rng.integers(nodes.size)] + radius * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        hx, hy = rng.uniform(0.05, 0.5, 2) * radius
+        window = (edge.real - hx, edge.imag - hy, edge.real + hx, edge.imag + hy)
+    else:
+        reach = 1.2 if shape == 1 else 4.0
+        cx, cy = rng.uniform(-reach, reach, 2) * bound
+        hx, hy = rng.uniform(0.05, 1.0, 2) * bound
+        window = (cx - hx, cy - hy, cx + hx, cy + hy)
+    return lam, alphabet, level, window, width, height
+
+
+def test_compiled_instar_circles_equal_the_numpy_path(kernel, rng):
+    steps, drawn = [], 0
+    for _ in range(160):
+        lam, alphabet, level, window, width, height = random_instar_case(rng)
+        circles_of = lambda: cli._overlay_circles(lam, alphabet, window, width, height,
+                                                  "instar", level, None, 2)[0]
+        steps.append(circles_of()[0][2])
+        points = rng.integers(0, 2, width * height).astype(np.uint8)
+        img, expected = circle_images(circles_of, window, width, height, points)
+        assert np.array_equal(img, expected), (lam, alphabet, level, window, width, height)
+        drawn += int(np.count_nonzero(img == 2))
+    assert max(steps) > 64 and drawn > 0
+
+
+def test_compiled_circles_round_like_the_numpy_path(kernel, rng):
+    # windows a few ulps wide around one sample, where every rounding of the
+    # sample expressions moves pixels, some with their left or top edge on
+    # the sample itself (column 0 or row 0 exactly)
+    inside = 0
+    for case in range(200):
+        centres = (rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40))
+        radius, steps = rng.uniform(0.01, 2.0), int(rng.integers(3, 130))
+        t = 2.0 * np.pi * np.arange(steps) / steps
+        i, j = rng.integers(centres.size), rng.integers(steps)
+        x = centres[i].real + radius * np.cos(t[j])
+        y = centres[i].imag + radius * np.sin(t[j])
+        hx, hy = rng.uniform(1e-15, 1e-13, 2) * 8
+        x0 = x if case % 4 == 1 else x - hx * rng.uniform()
+        y1 = y if case % 4 == 2 else y + hy * rng.uniform()
+        window = (x0, y1 - hy, x0 + hx, y1)
+        width, height = (int(v) for v in rng.integers(1, 65, 2))
+        circles_of = lambda: [([centres], radius, steps)]
+        points = np.zeros(width * height, np.uint8)
+        img, expected = circle_images(circles_of, window, width, height, points)
+        assert np.array_equal(img, expected), (centres[i], radius, steps, window, width, height)
+        inside += int(np.count_nonzero(img))
+    assert inside > 100
+
+
+LANDMARK1 = ("1,-1,-1;1", 0.6 + 0.25j)
+LANDMARK5 = ("1;1,1,-1", -0.37 + 0.52j)
+
+
+@pytest.mark.parametrize("periods", [1, 2, 64])
+@pytest.mark.parametrize("landmark", [LANDMARK1, LANDMARK5])
+def test_compiled_chain_circles_equal_the_numpy_path(kernel, rng, landmark, periods):
+    # the default window, one through the chain, and zooms onto the outline
+    # of its first disk, narrower than the disk, and onto its centre of
+    # self-similarity, where the disks of later periods lie
+    series = RationalTypeSeries.parse(landmark[0])
+    lam = cli._series_root(series, landmark[1])
+    disk = ifslab.certificate.chain_disk(series, lam, 0)
+    centre = ifslab.certificate.selfsim_center(series, lam)
+    edge = disk.center + disk.radius
+    windows = [default_window(lam),
+               (centre.real - 0.5, centre.imag - 0.2, centre.real + 0.6, centre.imag + 0.9),
+               (edge.real - 0.1 * disk.radius, edge.imag - 0.05 * disk.radius,
+                edge.real + 0.1 * disk.radius, edge.imag + 0.15 * disk.radius),
+               (centre.real - 0.04, centre.imag - 0.03, centre.real + 0.04, centre.imag + 0.05)]
+    drawn = []
+    for window in windows:
+        width, height = (int(v) for v in rng.integers(20, 161, 2))
+        circles_of = lambda: cli._overlay_circles(lam, "ternary", window, width, height,
+                                                  "chain", 3, series, periods)[0]
+        assert len(circles_of()) == periods * series.period
+        points = rng.integers(0, 2, width * height).astype(np.uint8)
+        img, expected = circle_images(circles_of, window, width, height, points)
+        assert np.array_equal(img, expected), (landmark, periods, window, width, height)
+        drawn.append(bool(np.any(img == 2)))
+    assert drawn[:3] == [True] * 3
+
+
+def test_benchmark_jobs_write_the_numpy_path_bytes(kernel, tmp_path, monkeypatch):
+    # the seven attractor jobs of a benchmark pass: both overlays, the
+    # depth-22 rectangle and the four ternary attractors, one of depth 14
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    jobs = importlib.import_module("inputs").generate("attractor", 1)
+
+    def images():
+        for job in jobs:
+            argv = [arg.replace("OUT:", f"{tmp_path}/") for arg in job.argv]
+            assert main(argv) == 0
+            yield Path(argv[-1]).read_bytes()
+
+    compiled = list(images())
+    monkeypatch.setattr(_native, "attractor_kernel", lambda: None)
+    assert len(jobs) == 7 and list(images()) == compiled
+
+
 @pytest.mark.parametrize("extra, code", [
     (["--depth", "15"], 3),
     (["--set", "m0", "--depth", "23"], 3),
@@ -230,6 +364,31 @@ class TestLoader:
         path.write_bytes(b"not a shared library")
         assert _native.attractor_kernel() is not None
         assert path.read_bytes() != b"not a shared library"
+        self.check_bytes(tmp_path)
+
+    def test_cached_library_missing_a_function_loads_neither(self, tmp_path, monkeypatch):
+        # a library with the point walk but no circles, as an older source
+        # built it: neither function is used
+        path = _native.library_path()
+        path.parent.mkdir(parents=True)
+        stub = tmp_path / "stub.c"
+        stub.write_text("int ifs_attractor_hits(void) { return -1; }\n")
+        subprocess.run(["cc", "-shared", "-fPIC", "-o", str(path), str(stub)], check=True)
+        self.compiler(tmp_path, monkeypatch, "exit 1")
+        assert _native.attractor_kernel() is None
+        self.check_bytes(tmp_path)
+
+    def test_cached_library_missing_a_function_is_rebuilt(self, tmp_path):
+        # the process that finds it loads the rebuilt file, not the handle of
+        # the old one that dlopen keeps for the same path
+        path = _native.library_path()
+        path.parent.mkdir(parents=True)
+        stub = tmp_path / "stub.c"
+        stub.write_text("int ifs_attractor_hits(void) { return -1; }\n")
+        subprocess.run(["cc", "-shared", "-fPIC", "-o", str(path), str(stub)], check=True)
+        kernel = _native.attractor_kernel()
+        assert kernel is not None and all(hasattr(kernel, f) for f in _native._FUNCTIONS)
+        assert os.listdir(path.parent) == [path.name]
         self.check_bytes(tmp_path)
 
     def test_corrupt_cached_library_without_compiler(self, tmp_path, monkeypatch):

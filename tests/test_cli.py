@@ -515,18 +515,35 @@ class TestStreamedAttractor:
 
     @pytest.mark.parametrize("case", ["depth0", "instar8", "chain64"])
     def test_one_paint_for_the_points_and_one_per_overlay(self, tmp_path, monkeypatch, case):
-        # every _fill call scans a W*H mask, built by the compiled walk or
-        # by _hits
+        # every _hits call builds and scans a W*H mask: the numpy path makes
+        # one for the points and one for all circles of the overlay, the
+        # compiled path none
         calls = []
-        fill = cli._fill
+        hits = cli._hits
 
         def counted(*args):
             calls.append(args)
-            fill(*args)
+            return hits(*args)
 
-        monkeypatch.setattr(cli, "_fill", counted)
+        monkeypatch.setattr(cli, "_hits", counted)
         self._check(tmp_path, **self.CASES[case])
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("case", ["depth0", "instar8", "chain64"])
+    def test_one_palette_lookup_per_image(self, tmp_path, monkeypatch, case):
+        # points and circles mark one index image, and the RGB image is
+        # composed from it once
+        calls = []
+        take = np.take
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counted)
+        self._check(tmp_path, **self.CASES[case])
+        width, height = self.CASES[case].get("px", (300, 300))
+        assert [index.shape for _, index in calls] == [(height, width)]
 
     def test_chain_overlay_reads_coefficients_linearly(self, tmp_path, monkeypatch):
         # one running Taylor sum serves all periods * p disks; summing each
@@ -586,19 +603,18 @@ class TestStreamedAttractor:
 
 @pytest.mark.usefixtures("numpy_points")
 class TestAttractorOnNumpyPath(TestAttractor):
-    """``TestAttractor`` where the compiled walk cannot be built."""
+    """``TestAttractor`` where the compiled library cannot be built."""
 
 
 @pytest.mark.usefixtures("numpy_points")
 class TestStreamedAttractorOnNumpyPath(TestStreamedAttractor):
-    """``TestStreamedAttractor`` where the compiled walk cannot be built."""
+    """``TestStreamedAttractor`` where the compiled library cannot be built."""
 
 
 class TestPaintEdges:
-    """``_paint`` marks the pixels ``oracles.attractor_points_full`` marks,
-    for blocks wholly inside the image (painted without a mask), blocks
-    reaching one pixel past an edge, and blocks holding a NaN, which names
-    no pixel.  In the window (0, 0, W, H) a point (c + 1/2, H - r - 1/2)
+    """``_hits`` marks the pixels ``oracles.attractor_points_full`` paints,
+    for blocks wholly inside the image, blocks reaching one pixel past an
+    edge, and blocks holding a NaN, which names no pixel.  In the window (0, 0, W, H) a point (c + 1/2, H - r - 1/2)
     floors to column c and row r."""
 
     W, H = 7, 5
@@ -620,16 +636,15 @@ class TestPaintEdges:
         x0, y0, x1, y1 = self.WINDOW
         blocks = [np.array([complex(c + 0.5, self.H - r - 0.5) for c, r in block])
                   for block in self.CASES[case]]
-        rgb = np.full((self.H, self.W, 3), 255, dtype=np.uint8)
-        cli._paint(rgb, [
+        hit = cli._hits([
             (np.floor((b.real - x0) * self.W / (x1 - x0)),
              np.floor((y1 - b.imag) * self.H / (y1 - y0)))
             for b in blocks
-        ], (0, 0, 0))
-        expected = np.full_like(rgb, 255)
+        ], self.W, self.H)
+        expected = np.full((self.H, self.W, 3), 255, dtype=np.uint8)
         points = np.concatenate(blocks)
         attractor_points_full(expected, points[~np.isnan(points)], self.WINDOW)
-        assert np.array_equal(rgb, expected)
+        assert np.array_equal(hit.reshape(self.H, self.W), (expected == 0).all(axis=2))
 
 
 class TestCertify:

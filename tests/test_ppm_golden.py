@@ -95,8 +95,8 @@ def test_images_match_the_golden_file():
 
 
 def test_attractors_match_the_golden_file_on_the_numpy_path(numpy_points):
-    # the attractor's points are marked by the compiled walk when it can be
-    # built, and by numpy otherwise: both give the golden bytes
+    # the attractor's points and circles are marked by the compiled library
+    # when it can be built, and by numpy otherwise: both give the golden bytes
     golden = json.loads(GOLDEN.read_text())
     names = [name for name in CASES if name.startswith("attractor/")]
     assert golden_digests(names) == {name: golden[name] for name in names}
