@@ -1,9 +1,9 @@
 /* Point raster of one level of the IFS {-1 + lz, lz, 1 + lz}, and the
-   outlines of overlay circles; built and loaded by ifslab/_native.py.
+   outlines of overlay circles; built, loaded and called by ifslab/_native.py.
 
    ifs_attractor_hits sets hit[r * W + c] = 1 for every pixel (c, r) of a
-   W x H image that a node of the level falls on: the mask of the numpy
-   path of cli._point_hits, bit for bit.
+   W x H image that a node of the level falls on: the points of the numpy
+   path cli._numpy_image, bit for bit.
    It walks the word tree depth first.  A node of level d is x_d = x_{d-1}
    + w_d and y_d = y_{d-1} + w'_d from x_{-1} = y_{-1} = 0, with w_d, w'_d
    the real and imaginary parts of its letter's weight at level d, read as

@@ -1,15 +1,16 @@
-"""Build and load ``_attractor.c``, one library of two functions: the
-attractor's point walk ``ifs_attractor_hits`` and overlay circles ``ifs_circle_hits``.
+"""Build, load and call ``_attractor.c``, one library of two functions, the
+attractor's point walk ``ifs_attractor_hits`` and overlay circles
+``ifs_circle_hits``: ``attractor_image`` is the only caller of either.
 
 The library is compiled on first use with the system ``cc`` into the per-user
-cache folder (``$XDG_CACHE_HOME/ifslab``, by default ``~/.cache/ifslab``)
+cache folder (``$XDG_CACHE_HOME/ifslab`` if absolute, else ``~/.cache/ifslab``)
 and loaded with ``ctypes``.  The file name holds a CRC-32 of the source,
 the flags, the machine and the Python cache tag, so an edited source or
 another interpreter builds a file of its own; the build writes a temporary
 name and renames it, so a reader never loads a half-written file.  A cached file that
 does not load or lacks a function is built again.  When no compiler runs, the build
 fails or the folder cannot be written, ``attractor_kernel`` returns None, for both
-functions, and the caller keeps its numpy path, which gives the same bytes.
+functions, and the caller draws ``cli._numpy_image``, which has the same bytes.
 
 The flags keep the arithmetic IEEE double, operation by operation:
 ``-ffp-contract=off`` forbids fused multiply-adds and ``-fno-fast-math``
@@ -54,7 +55,9 @@ def library_path() -> Path:
         SOURCE.read_bytes(), " ".join(FLAGS).encode(), platform.machine().encode(),
         sys.implementation.cache_tag.encode(),
     ]))
-    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):  # relative: invalid by the XDG spec
+        cache = os.path.join(os.path.expanduser("~"), ".cache")
     return Path(cache, "ifslab", f"attractor-{key:08x}.so")
 
 
@@ -97,11 +100,12 @@ def attractor_kernel():
         return None
 
 
-def attractor_hits(kernel, table: np.ndarray, window, width: int,
-                   height: int) -> tuple[np.ndarray, tuple[int, int]]:
+def attractor_image(kernel, table: np.ndarray, circles, window, width: int,
+                    height: int) -> tuple[np.ndarray, tuple[int, int]]:
     """The flat W*H uint8 image, 1 on the pixels hit by the nodes of the level
     whose ``ifs._letter_weights`` table is ``table`` in ``window`` (x0, y0,
-    x1, y1), else 0, with the kernel's counts of leaves walked and subtrees skipped."""
+    x1, y1), then 2 on those of the ``circles`` of ``cli._overlay_circles``,
+    else 0, with the kernel's counts of leaves walked and subtrees skipped."""
     x0, y0, x1, y1 = window
     img = np.zeros(height * width, dtype=np.uint8)
     counts = np.zeros(2, dtype=np.int64)
@@ -109,4 +113,9 @@ def attractor_hits(kernel, table: np.ndarray, window, width: int,
                                        x0, y1, x1 - x0, y1 - y0, width, height, img, counts)
     if status != 0:
         raise ValueError(f"the attractor kernel refused level {table.shape[0] - 1}")
+    sx, sy = width / (x1 - x0), height / (y1 - y0)
+    for centres, dx, dy in circles:
+        for block in centres:
+            kernel.ifs_circle_hits(block.view(np.float64), block.size, dx, dy, dx.size,
+                                   x0, y1, sx, sy, width, height, img, 2)
     return img, (int(counts[0]), int(counts[1]))

@@ -476,18 +476,12 @@ def _instar_clearance(
 
     Each block gives one array of node distances, the left-out nodes set to
     inf; the radii are subtracted once from the smallest distance, which has
-    the bits of the smallest difference because rounding is monotone.  The
-    arrays computed from the blocks are allocated once per walk: new ones at
-    every block made the C heap shrink and grow again."""
+    the bits of the smallest difference because rounding is monotone."""
     tol = 1e-9 * (1.0 + abs(znode))
     best = math.inf
-    diff = gap = near = np.empty(0)
     for nodes in ifs.level_blocks(lam, n, alphabet):
-        if gap.size != nodes.size:
-            diff, gap, near = np.empty_like(nodes), np.empty(nodes.size), np.empty(nodes.size, bool)
-        np.less_equal(np.abs(np.subtract(nodes, znode, out=diff), out=gap), tol, out=near)
-        np.abs(np.subtract(nodes, disk.center, out=diff), out=gap)
-        gap[near] = np.inf
+        gap = np.abs(nodes - disk.center)
+        gap[np.abs(nodes - znode) <= tol] = np.inf
         best = min(best, float(gap.min()))
     return best - (disk.radius + ifs.nodal_radius(lam, n))
 

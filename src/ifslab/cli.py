@@ -20,11 +20,13 @@ of the walk's alphabet, checked by the call that walks), and the output
 paths of ``--out`` and ``--report`` (not empty, in an existing, writable
 directory, not a directory itself, and not one file for both) is checked
 before the command walks its first level, so a refused command does no work.
+``attractor`` then draws its image once, with the compiled library of
+``_native`` when it loads, else in numpy (``_numpy_image``), same bytes.
 
 Exit codes: 0 success, 1 expectation failure, 2 usage/parse error (an empty
-``--series`` or output path too), 3 numeric failure or an unwritable output
-("io error").  Images are binary PPM (P6) and byte-identical for identical
-inputs.
+``--series`` or output path, or a ``--series`` with a constant numerator,
+too), 3 numeric failure or an unwritable output ("io error").  Images are
+binary PPM (P6) and byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -236,44 +238,24 @@ def cmd_render(
     return EXIT_OK
 
 
-def _hits(pixels, width: int, height: int) -> np.ndarray:
-    """The W*H boolean mask of the pixels that a (cols, rows) pair of
-    ``pixels`` names.  The pairs hold floored float indices; those outside
-    the image, and NaN, which fails every comparison, are dropped."""
-    hit = np.zeros(height * width, dtype=bool)
+def _paint(img: np.ndarray, pixels, width: int, height: int, value: int) -> None:
+    """Set ``value`` in the flat W*H index image ``img`` on every pixel that a
+    (cols, rows) pair of ``pixels`` names.  The pairs hold floored float
+    indices; those outside the image, and NaN, which fails every comparison,
+    are dropped."""
     for cols, rows in pixels:
         keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
-        hit[rows[keep].astype(np.intp) * width + cols[keep].astype(np.intp)] = True
-    return hit
+        img[rows[keep].astype(np.intp) * width + cols[keep].astype(np.intp)] = value
 
 
 def _point_pixels(blocks, window, width: int, height: int):
-    """The (cols, rows) pairs for ``_hits`` of the points of each block:
+    """The (cols, rows) pairs for ``_paint`` of the points of each block:
     floor((x - x0) * W / (x1 - x0)) and floor((y1 - y) * H / (y1 - y0)),
     operation by operation in that order."""
     x0, y0, x1, y1 = window
     for nodes in blocks:
         yield (np.floor((nodes.real - x0) * width / (x1 - x0)),
                np.floor((y1 - nodes.imag) * height / (y1 - y0)))
-
-
-def _point_hits(lam: complex, depth: int, alphabet: str, window, width: int,
-                height: int) -> np.ndarray:
-    """The flat W*H uint8 image, 1 where the level-``depth`` nodes fall, else 0.
-
-    The compiled walk of ``_native`` marks it when it can be built and
-    loaded; it skips subtrees whose pixels are known.  Otherwise the blocks
-    of ``ifs._level_blocks`` feed ``_point_pixels`` and ``_hits``, the
-    kernel's reference, with the same bits.  Either way the level is checked
-    before any work."""
-    from . import _native
-
-    table = ifs._letter_weights(complex(lam), depth, alphabet)
-    kernel = _native.attractor_kernel()
-    if kernel is not None:
-        return _native.attractor_hits(kernel, table, window, width, height)[0]
-    blocks = ifs._level_blocks(table)
-    return _hits(_point_pixels(blocks, window, width, height), width, height).view(np.uint8)
 
 
 def _circle_steps(radius: float, window, width: int, height: int) -> int:
@@ -291,63 +273,49 @@ def _circle_steps(radius: float, window, width: int, height: int) -> int:
     return max(64, int(needed))
 
 
-def _circle_samples(circles, window, width: int, height: int):
-    """(centres, sx, sy, dx, dy) for each centre array of the ``circles`` of
-    ``_overlay_circles``, read once in order (so ``ifs.level_blocks`` may
-    feed them): the pixel scales W/(x1-x0), H/(y1-y0) and the offsets
-    radius cos t, radius sin t of a circle's samples from its centre."""
+def _draw_circles(circles, window, width: int, height: int):
+    """The (cols, rows) pairs for ``_paint`` of the samples of the ``circles``
+    of ``_overlay_circles``, read once in order (so ``ifs.level_blocks`` may
+    feed them), in batches of about ``ifs._BLOCK_NODES``: the compiled
+    circles' reference."""
     x0, y0, x1, y1 = window
     sx, sy = width / (x1 - x0), height / (y1 - y0)
-    for centers, radius, steps in circles:
-        t = 2.0 * np.pi * np.arange(steps) / steps
-        dx, dy = radius * np.cos(t), radius * np.sin(t)
-        for block in centers:
-            yield block, sx, sy, dx, dy
-
-
-def _draw_circles(circles, window, width: int, height: int):
-    """The (cols, rows) pairs for ``_hits`` of the samples of ``_circle_samples``
-    in batches of about ``ifs._BLOCK_NODES``: the compiled circles' reference."""
-    x0, y1 = window[0], window[3]
     # (xs - x0) * sx floors some samples to other pixels than the attractor
     # points' (x - x0) * W / (x1 - x0); images depend on both staying as is
-    for block, sx, sy, dx, dy in _circle_samples(circles, window, width, height):
+    for centers, dx, dy in circles:
         batch = max(1, ifs._BLOCK_NODES // dx.size)
-        for i in range(0, block.size, batch):
-            c = block[i:i + batch]
-            yield (np.floor((c.real[:, None] + dx - x0) * sx),
-                   np.floor((y1 - (c.imag[:, None] + dy)) * sy))
+        for block in centers:
+            for i in range(0, block.size, batch):
+                c = block[i:i + batch]
+                yield (np.floor((c.real[:, None] + dx - x0) * sx),
+                       np.floor((y1 - (c.imag[:, None] + dy)) * sy))
 
 
-def _circle_hits(img: np.ndarray, circles, window, width: int, height: int) -> None:
-    """Set 2 in the flat W*H index image ``img`` on every pixel of the ``circles``
-    of ``_overlay_circles``: in the compiled library of ``_native`` when it
-    loads, else through one ``_hits`` mask of ``_draw_circles``, same bits."""
-    from . import _native
-
-    kernel = _native.attractor_kernel()
-    if kernel is None:
-        img[_hits(_draw_circles(circles, window, width, height), width, height)] = 2
-    else:
-        for block, sx, sy, dx, dy in _circle_samples(circles, window, width, height):
-            kernel.ifs_circle_hits(block.view(np.float64), block.size, dx, dy, dx.size,
-                                   window[0], window[3], sx, sy, width, height, img, 2)
+def _numpy_image(table: np.ndarray, circles, window, width: int, height: int) -> np.ndarray:
+    """The index image of ``_native.attractor_image`` in numpy, bit for bit:
+    1 on the pixels of the blocks of ``ifs._level_blocks(table)``, then 2 on
+    those of ``circles``.  The compiled path's reference and fallback."""
+    img = np.zeros(height * width, dtype=np.uint8)
+    _paint(img, _point_pixels(ifs._level_blocks(table), window, width, height), width, height, 1)
+    _paint(img, _draw_circles(circles, window, width, height), width, height, 2)
+    return img
 
 
 def _overlay_circles(
     lam: complex, alphabet: str, window, width: int, height: int, overlay: str,
     level: int, series: RationalTypeSeries | None, periods: int,
 ) -> tuple[list, tuple[int, int, int] | None]:
-    """The circles of ``overlay`` as (centers, radius, steps) triples, each
-    ``centers`` an iterable of centre arrays and ``steps`` the samples per
-    circle, and the one colour they are all drawn in (None without circles).
+    """The circles of ``overlay`` as (centers, dx, dy) triples, each
+    ``centers`` an iterable of centre arrays and dx, dy the offsets
+    radius cos t, radius sin t of a circle's samples from its centre, and
+    the one colour they are all drawn in (None without circles).
 
     Every refusal of the overlay comes from here, before any level is walked:
     the instar level guard (``ifs.level_blocks`` checks the level when
     called), ``chain`` without ``--series`` or at a non-root,
     MAX_CIRCLE_SAMPLES for every circle and MAX_OVERLAY_SAMPLES for all of
-    them.  The instar centres are the level's nodes, walked in blocks only
-    when the circles are drawn."""
+    them; the offsets are computed after both.  The instar centres are the
+    level's nodes, walked in blocks only when the circles are drawn."""
     count = 1  # centres per circle entry: a whole level, or one chain disk
     if overlay == "instar":
         circles = [(ifs.level_blocks(lam, level, alphabet), ifs.nodal_radius(lam, level))]
@@ -367,13 +335,14 @@ def _overlay_circles(
         color = (0, 160, 0)
     else:
         circles, color = [], None
-    circles = [(centers, radius, _circle_steps(radius, window, width, height))
-               for centers, radius in circles]
-    needed = count * sum(steps for _, _, steps in circles)
+    steps = [_circle_steps(radius, window, width, height) for _, radius in circles]
+    needed = count * sum(steps)
     if needed > MAX_OVERLAY_SAMPLES:
         raise ParseError(f"the overlay's circles need {needed:.3g} samples in this window, more "
                          f"than {MAX_OVERLAY_SAMPLES}; widen --window or lower --px or --level")
-    return circles, color
+    angles = [2.0 * np.pi * np.arange(n) / n for n in steps]
+    return [(centers, radius * np.cos(t), radius * np.sin(t))
+            for (centers, radius), t in zip(circles, angles)], color
 
 
 def cmd_attractor(
@@ -383,16 +352,23 @@ def cmd_attractor(
 ) -> int:
     """Point raster of the level-``depth`` nodes with the circles of ``overlay``
     ("none", "instar" or "chain") drawn over it, as one index image (0
-    background, 1 point, 2 circle) coloured by one palette lookup."""
+    background, 1 point, 2 circle) coloured by one palette lookup.  After
+    every refusal and the points' level guard, the library is asked for once
+    and draws the image (``_native.attractor_image``), or numpy does."""
+    from . import _native
+
     if window is None:
         bound = 1.0 / (1.0 - abs(lam))
         window = (-bound, -bound, bound, bound)
     circles, color = _overlay_circles(
         lam, alphabet, window, width, height, overlay, overlay_level, series, periods
     )
-    img = _point_hits(lam, depth, alphabet, window, width, height)
-    if circles:
-        _circle_hits(img, circles, window, width, height)
+    table = ifs._letter_weights(complex(lam), depth, alphabet)
+    kernel = _native.attractor_kernel()
+    if kernel is None:
+        img = _numpy_image(table, circles, window, width, height)
+    else:
+        img = _native.attractor_image(kernel, table, circles, window, width, height)[0]
     palette = np.array([(255, 255, 255), (0, 0, 0), color or (0, 0, 0)], dtype=np.uint8)
     write_ppm(out, np.take(palette, img.reshape(height, width), axis=0))
     return EXIT_OK
@@ -400,8 +376,15 @@ def cmd_attractor(
 
 def _series_root(series: RationalTypeSeries, seed: complex) -> complex:
     """Newton root of the series' numerator from ``seed``; InvalidLambda when
-    it lands outside 0 < |lambda| < 1, where the series does not converge."""
-    return paramspace._check_lambda(newton_root(numerator_polynomial(series), seed))
+    it lands outside 0 < |lambda| < 1, where the series does not converge,
+    and ParseError for a constant numerator, which no seed can make vanish."""
+    poly = numerator_polynomial(series)
+    try:
+        root = newton_root(poly, seed)
+    except ValueError:
+        raise ParseError(f"the numerator of --series {series.format()!r} is the constant "
+                         f"{poly[0]}, which has no root") from None
+    return paramspace._check_lambda(root)
 
 
 def cmd_certify(

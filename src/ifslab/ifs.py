@@ -13,9 +13,9 @@ so a node has the same bits either way.  The blocks come from a staged
 walk: each grows the last few levels from a long run of prefixes, and the
 runs divide the blocks of the walk of a shallower level.  Every block is
 an array of its own.  The blocks stream, flat in memory, the certificate's
-clearance, the centres of the command line's instar circles (drawn by
-``_attractor.c``) and the numpy path of its point raster, whose compiled
-walk in that file adds the weights in the fold's order.
+clearance, the centres of the command line's instar circles and the points
+of its numpy image (``cli._numpy_image``); its compiled image
+(``_native.attractor_image``) walks the same weight table in the fold's order.
 """
 
 from __future__ import annotations

@@ -38,9 +38,10 @@ def newton_root(coeffs, seed: complex) -> complex:
     Plain iteration, no line search; callers supply seeds inside the basin.
     Returns z with |p(z)| <= 1e-13 * (1 + sum|coeffs|) or raises
     NoConvergence after 100 steps.  Raises DerivativeVanished when the
-    iteration hits a critical point.
+    iteration hits a critical point, and ValueError for a constant
+    polynomial: fewer than two coefficients, or all but the first zero.
     """
-    if len(coeffs) < 2:
+    if len(coeffs) < 2 or not any(coeffs[1:]):
         raise ValueError("polynomial must be nonconstant")
     tol = 1e-13 * (1.0 + sum(abs(c) for c in coeffs))
     z = complex(seed)

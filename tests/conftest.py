@@ -78,9 +78,8 @@ def random_rooted_series(rng, period):
 
 @pytest.fixture
 def numpy_points(monkeypatch):
-    """The attractor's points and overlay circles on their numpy path, as
-    when the compiled library cannot be built: ``attractor_kernel`` returns
-    both of its functions or neither."""
+    """The attractor's whole image on its numpy path (``cli._numpy_image``),
+    as when the compiled library cannot be built."""
     from ifslab import _native
 
     monkeypatch.setattr(_native, "attractor_kernel", lambda: None)

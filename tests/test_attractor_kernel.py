@@ -37,15 +37,14 @@ def default_window(lam):
 
 
 def numpy_hits(lam, depth, alphabet, window, width, height):
-    """The mask of the command's numpy path, with the kernel switched off."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_native, "attractor_kernel", lambda: None)
-        return cli._point_hits(lam, depth, alphabet, window, width, height)
+    """The points of the command's numpy image, with no circles."""
+    table = ifs._letter_weights(complex(lam), depth, alphabet)
+    return cli._numpy_image(table, [], window, width, height)
 
 
 def kernel_hits(kernel, lam, depth, alphabet, window, width, height):
     table = ifs._letter_weights(complex(lam), depth, alphabet)
-    return _native.attractor_hits(kernel, table, window, width, height)
+    return _native.attractor_image(kernel, table, [], window, width, height)
 
 
 def random_case(rng):
@@ -142,15 +141,13 @@ def test_kernel_counts(kernel, lam, depth, alphabet, window, px, counts):
     assert np.array_equal(hit, numpy_hits(lam, depth, alphabet, window, *px))
 
 
-def circle_images(circles_of, window, width, height, points):
-    """The compiled circles of ``cli._circle_hits`` drawn over the index
-    image ``points``, and the numpy reference: 2 on the mask of
-    ``cli._hits(cli._draw_circles(...))``, ``points`` elsewhere.  Each side
-    gets fresh circles from ``circles_of()``: instar centres are read once."""
-    img = points.copy()
-    cli._circle_hits(img, circles_of(), window, width, height)
-    mask = cli._hits(cli._draw_circles(circles_of(), window, width, height), width, height)
-    return img, np.where(mask, np.uint8(2), points)
+def circle_images(kernel, table, circles_of, window, width, height):
+    """The index images of ``_native.attractor_image`` and of its numpy
+    reference ``cli._numpy_image``: the points of the weight table ``table``
+    with the circles of ``circles_of()`` drawn over them.  Each side gets
+    fresh circles: instar centres are read once."""
+    img = _native.attractor_image(kernel, table, circles_of(), window, width, height)[0]
+    return img, cli._numpy_image(table, circles_of(), window, width, height)
 
 
 def random_instar_case(rng):
@@ -191,9 +188,9 @@ def test_compiled_instar_circles_equal_the_numpy_path(kernel, rng):
         lam, alphabet, level, window, width, height = random_instar_case(rng)
         circles_of = lambda: cli._overlay_circles(lam, alphabet, window, width, height,
                                                   "instar", level, None, 2)[0]
-        steps.append(circles_of()[0][2])
-        points = rng.integers(0, 2, width * height).astype(np.uint8)
-        img, expected = circle_images(circles_of, window, width, height, points)
+        steps.append(circles_of()[0][1].size)
+        table = ifs._letter_weights(lam, 6, alphabet)
+        img, expected = circle_images(kernel, table, circles_of, window, width, height)
         assert np.array_equal(img, expected), (lam, alphabet, level, window, width, height)
         drawn += int(np.count_nonzero(img == 2))
     assert max(steps) > 64 and drawn > 0
@@ -216,9 +213,9 @@ def test_compiled_circles_round_like_the_numpy_path(kernel, rng):
         y1 = y if case % 4 == 2 else y + hy * rng.uniform()
         window = (x0, y1 - hy, x0 + hx, y1)
         width, height = (int(v) for v in rng.integers(1, 65, 2))
-        circles_of = lambda: [([centres], radius, steps)]
-        points = np.zeros(width * height, np.uint8)
-        img, expected = circle_images(circles_of, window, width, height, points)
+        circles_of = lambda: [([centres], radius * np.cos(t), radius * np.sin(t))]
+        table = ifs._letter_weights(0.5, 0, "binary")
+        img, expected = circle_images(kernel, table, circles_of, window, width, height)
         assert np.array_equal(img, expected), (centres[i], radius, steps, window, width, height)
         inside += int(np.count_nonzero(img))
     assert inside > 100
@@ -250,8 +247,8 @@ def test_compiled_chain_circles_equal_the_numpy_path(kernel, rng, landmark, peri
         circles_of = lambda: cli._overlay_circles(lam, "ternary", window, width, height,
                                                   "chain", 3, series, periods)[0]
         assert len(circles_of()) == periods * series.period
-        points = rng.integers(0, 2, width * height).astype(np.uint8)
-        img, expected = circle_images(circles_of, window, width, height, points)
+        table = ifs._letter_weights(lam, 6, "ternary")
+        img, expected = circle_images(kernel, table, circles_of, window, width, height)
         assert np.array_equal(img, expected), (landmark, periods, window, width, height)
         drawn.append(bool(np.any(img == 2)))
     assert drawn[:3] == [True] * 3
@@ -272,6 +269,23 @@ def test_benchmark_jobs_write_the_numpy_path_bytes(kernel, tmp_path, monkeypatch
     compiled = list(images())
     monkeypatch.setattr(_native, "attractor_kernel", lambda: None)
     assert len(jobs) == 7 and list(images()) == compiled
+
+
+def test_one_library_lookup_per_image(tmp_path, monkeypatch):
+    # the library is asked for once, and then draws the points and the
+    # circles, or numpy draws both
+    calls = []
+    lookup = _native.attractor_kernel
+
+    def counted():
+        calls.append(None)
+        return lookup()
+
+    monkeypatch.setattr(_native, "attractor_kernel", counted)
+    assert main(["attractor", "--seed=-0.37,0.52", "--series", LANDMARK5[0], "--depth", "6",
+                 "--px", "60,60", "--overlay", "instar", "--level", "3",
+                 "--out", str(tmp_path / "a.ppm")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("extra, code", [
@@ -356,6 +370,19 @@ class TestLoader:
         (tmp_path / "file").write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file" / "cache"))
         assert _native.attractor_kernel() is None
+        self.check_bytes(tmp_path)
+
+    def test_relative_cache_home_is_ignored(self, tmp_path, monkeypatch):
+        # the XDG spec calls a relative path invalid: nothing is built under
+        # the current directory, the library goes to ~/.cache
+        monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        assert _native.library_path().parent == tmp_path / "home" / ".cache" / "ifslab"
+        kernel = _native.attractor_kernel()
+        assert os.listdir(tmp_path / "work") == []
+        assert kernel is None or _native.library_path().is_file()
         self.check_bytes(tmp_path)
 
     def test_corrupt_cached_library_is_rebuilt(self, tmp_path):

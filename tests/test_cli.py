@@ -317,6 +317,14 @@ class TestAttractor:
         ])
         assert code == 3
 
+    def test_constant_numerator_usage_error(self, tmp_path, capsys):
+        # 1;0,1 is 1/(1 - z^2), whose numerator 1 no seed can make vanish
+        out = tmp_path / "x.ppm"
+        assert main(["attractor", "--seed", "0.3,0.6", "--series", "1;0,1",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "constant 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [
         ["--px", "0,0"],
         ["--window", "0,0,nan,1"],
@@ -515,17 +523,16 @@ class TestStreamedAttractor:
 
     @pytest.mark.parametrize("case", ["depth0", "instar8", "chain64"])
     def test_one_paint_for_the_points_and_one_per_overlay(self, tmp_path, monkeypatch, case):
-        # every _hits call builds and scans a W*H mask: the numpy path makes
-        # one for the points and one for all circles of the overlay, the
-        # compiled path none
+        # the numpy path paints the points once and all circles of the
+        # overlay once, into one index image, the compiled path never
         calls = []
-        hits = cli._hits
+        paint = cli._paint
 
         def counted(*args):
             calls.append(args)
-            return hits(*args)
+            return paint(*args)
 
-        monkeypatch.setattr(cli, "_hits", counted)
+        monkeypatch.setattr(cli, "_paint", counted)
         self._check(tmp_path, **self.CASES[case])
         assert len(calls) <= 2
 
@@ -612,7 +619,7 @@ class TestStreamedAttractorOnNumpyPath(TestStreamedAttractor):
 
 
 class TestPaintEdges:
-    """``_hits`` marks the pixels ``oracles.attractor_points_full`` paints,
+    """``_paint`` marks the pixels ``oracles.attractor_points_full`` paints,
     for blocks wholly inside the image, blocks reaching one pixel past an
     edge, and blocks holding a NaN, which names no pixel.  In the window (0, 0, W, H) a point (c + 1/2, H - r - 1/2)
     floors to column c and row r."""
@@ -636,15 +643,16 @@ class TestPaintEdges:
         x0, y0, x1, y1 = self.WINDOW
         blocks = [np.array([complex(c + 0.5, self.H - r - 0.5) for c, r in block])
                   for block in self.CASES[case]]
-        hit = cli._hits([
+        img = np.zeros(self.W * self.H, np.uint8)
+        cli._paint(img, [
             (np.floor((b.real - x0) * self.W / (x1 - x0)),
              np.floor((y1 - b.imag) * self.H / (y1 - y0)))
             for b in blocks
-        ], self.W, self.H)
+        ], self.W, self.H, 2)
         expected = np.full((self.H, self.W, 3), 255, dtype=np.uint8)
         points = np.concatenate(blocks)
         attractor_points_full(expected, points[~np.isnan(points)], self.WINDOW)
-        assert np.array_equal(hit.reshape(self.H, self.W), (expected == 0).all(axis=2))
+        assert np.array_equal(img.reshape(self.H, self.W), 2 * (expected == 0).all(axis=2))
 
 
 class TestCertify:
@@ -727,6 +735,15 @@ class TestCertify:
         assert code == 2
         assert not out.exists()
         assert "periodic block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1;1", "1;0,1", "1;0,0,1"])
+    def test_constant_numerator_usage_error(self, tmp_path, capsys, text):
+        # f = 1/(1 - z^p): the numerator is 1, so the seed is not to blame
+        out = tmp_path / "x.json"
+        assert main(["certify", "--series", text, "--seed", "0.3,0.6",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "constant 1" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, tmp_path):
         # Newton from the critical point of the cubic numerator

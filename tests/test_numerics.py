@@ -81,8 +81,12 @@ class TestNewton:
             newton_root([1, 0, 1], 0.0)
 
     def test_constant_rejected(self):
-        with pytest.raises(ValueError):
-            newton_root([3], 1.0)
+        # zeros after the constant term leave it constant; a zero leading
+        # coefficient of a nonconstant polynomial changes no bit of its root
+        for coeffs in ([3], [1, 0], [1, 0, 0, 0]):
+            with pytest.raises(ValueError):
+                newton_root(coeffs, 1.0)
+        assert newton_root([-1, 0, 1, 0], 0.9) == newton_root([-1, 0, 1], 0.9)
 
 
 # ---------------------------------------------------------------------------
