@@ -13,9 +13,11 @@
    floor(((x - x0) * W) / (x1 - x0)) and row floor(((y1 - y) * H) / (y1 - y0)),
    the expressions of _point_pixels in their order, computed for x and y
    side by side in one vector of two doubles (each lane an IEEE double
-   operation), and is kept when 0 <= c < W and 0 <= r < H.  Unfloored,
-   c >= 0 and c < W decide the same as floored (W is an integer), the cast
-   of a c >= 0 truncates to floor(c), and NaN fails every test.
+   operation), and is kept when 0 <= c < W and r is a row of its band
+   (below; 0 <= r < H in one band).  Unfloored, c >= 0 and c < W decide the
+   same as floored (W is an integer, and so are a band's first and last
+   rows), the cast of a c >= 0 truncates to floor(c), and NaN fails every
+   test.
 
    Every node from the root down to the level three above the leaves is
    boxed: every leaf under it lies within r_d of it in x and r'_d in y, so
@@ -26,7 +28,7 @@
    when it is one pixel (painted here: the subtree has at least one leaf),
    or when it spans at most 8 x 8 pixels that are all hit inside the image
    (each row of those read as one 8-byte word, masked to the row, where
-   8 bytes from the row's first pixel lie within the image; byte by byte
+   8 bytes from the row's first pixel lie within the band; byte by byte
    elsewhere).  The mask is a set, so what is skipped cannot change it.
    Nodes of the last two levels above the leaves are not boxed: a box costs
    about what painting the 4 or 9 leaves under such a node does.
@@ -47,8 +49,25 @@
    exactly 0 with B = 0, and a slack shared with x would let each box
    straddle the row boundary that the real axis falls on.
 
+   The image is walked in n = bands bands of rows, band b the rows
+   [floor(b H / n), floor((b + 1) H / n)), each by a walk of its own: the
+   calling thread walks band 0 and one pthread_create'd thread each other
+   band; should pthread_create fail, the calling thread walks that band
+   after its own.
+   Each band runs the walk above with its rows in place of the image's: a
+   leaf is kept only on a row of the band, and a box clips its rows to the
+   band, so a subtree whose rows lie beside the band is skipped as off the
+   image and the all-hit test reads only the box's rows in the band.  Every
+   leaf keeps its bits and its pixel, and the band of its row paints it, so
+   the image is the same for every n; the counts are not.  No byte is
+   shared between threads: a band writes and reads only the pixels of its
+   own rows, as the 8-byte word of a box row is read only where it ends by
+   the band's last pixel (byte by byte elsewhere), so no word reaches into
+   the next band.  Each band's walk state lies in cache lines of its own.
+
    Returns 0, with counts[0] the leaves walked and counts[1] the subtrees
-   skipped, or -1 for more than 3 letters or a level outside 0..63.
+   skipped, summed over the bands, or -1 for more than 3 letters, a level
+   outside 0..63 or a band count outside 1..16.
 
    ifs_circle_hits sets img[r * W + c] = value for every sample t of the
    circle around each of n centres (cr, ci), given as (re, im) pairs:
@@ -60,10 +79,12 @@
 
 #include <float.h>
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <string.h>
 
 #define MAX_LEVELS 64
+#define MAX_BANDS 16
 #define BOX_PIXELS 8
 
 /* the first n = 1..8 bytes, in memory order, of a word loaded with memcpy */
@@ -83,10 +104,11 @@ struct walk {
     int k, levels, last;
     pair size, extent;         /* (W, H) and (x1 - x0, y1 - y0) */
     double x0, y1;
-    long width, height, pixels;
+    double top, bottom;        /* the band's rows [top, bottom) */
+    long width, row_lo, row_hi, end;  /* end = row_hi * W */
     unsigned char *hit;
     int64_t leaves, skipped;
-};
+} __attribute__((aligned(128)));  /* no cache line shared between bands */
 
 /* (column, row) of the point q = (x, y), not yet floored */
 static inline pair pixel(const struct walk *s, pair q)
@@ -95,16 +117,20 @@ static inline pair pixel(const struct walk *s, pair q)
     return (a - b) * s->size / s->extent;
 }
 
-/* floor(c) clipped to -1..n: the same tests against 0..n-1 */
-static inline long clip(double c, long n) { return c < 0 ? -1 : c >= n ? n : (long)c; }
+/* floor(c) clipped to lo-1..hi for integers lo >= 0 and hi: the same tests
+   against lo..hi-1 */
+static inline long clip(double c, double lo, double hi)
+{
+    return c < lo ? (long)lo - 1 : c >= hi ? (long)hi : (long)c;
+}
 
-/* 1 when no leaf below the node p of level d can hit a new pixel */
+/* 1 when no leaf below the node p of level d can hit a new pixel of the band */
 static int known(struct walk *s, pair p, int d)
 {
     pair lo = pixel(s, p - s->half[d]), hi = pixel(s, p + s->half[d]);
-    long c0 = clip(lo[0], s->width), c1 = clip(hi[0], s->width);
-    long r0 = clip(lo[1], s->height), r1 = clip(hi[1], s->height);
-    if (c1 < 0 || c0 >= s->width || r1 < 0 || r0 >= s->height)
+    long c0 = clip(lo[0], 0, s->size[0]), c1 = clip(hi[0], 0, s->size[0]);
+    long r0 = clip(lo[1], s->top, s->bottom), r1 = clip(hi[1], s->top, s->bottom);
+    if (c1 < 0 || c0 >= s->width || r1 < s->row_lo || r0 >= s->row_hi)
         return 1;
     if (c0 == c1 && r0 == r1) {
         s->hit[r0 * s->width + c0] = 1;
@@ -114,9 +140,9 @@ static int known(struct walk *s, pair p, int d)
         return 0;
     c0 = c0 < 0 ? 0 : c0;
     c1 = c1 < s->width ? c1 : s->width - 1;
-    for (long r = r0 < 0 ? 0 : r0; r <= r1 && r < s->height; r++) {
+    for (long r = r0 < s->row_lo ? s->row_lo : r0; r <= r1 && r < s->row_hi; r++) {
         long i = r * s->width + c0;
-        if (i + 8 <= s->pixels) {
+        if (i + 8 <= s->end) {
             uint64_t v;
             memcpy(&v, s->hit + i, 8);
             v |= ~ROW_MASK(c1 - c0 + 1);  /* bytes past the row count as hit */
@@ -137,7 +163,7 @@ static void grow(struct walk *s, int d, pair p)
         for (int a = 0; a < s->k; a++) {
             pair q = p + s->step[d][a];
             pair c = pixel(s, q);
-            if (c[0] >= 0 && c[0] < s->size[0] && c[1] >= 0 && c[1] < s->size[1])
+            if (c[0] >= 0 && c[0] < s->size[0] && c[1] >= s->top && c[1] < s->bottom)
                 s->hit[(long)c[1] * s->width + (long)c[0]] = 1;
         }
         s->leaves += s->k;
@@ -152,21 +178,29 @@ static void grow(struct walk *s, int d, pair p)
     }
 }
 
+static void *walk_band(void *band)
+{
+    grow(band, 0, (pair){0.0, 0.0});
+    return NULL;
+}
+
 int ifs_attractor_hits(const double (*w)[2], int k, int levels,
                        double x0, double y1, double dx, double dy,
-                       long width, long height, unsigned char *hit, int64_t *counts)
+                       long width, long height, unsigned char *hit, int64_t *counts, int bands)
 {
-    struct walk s = {.k = k, .levels = levels, .last = levels - 3,
-                     .size = {(double)width, (double)height}, .extent = {dx, dy},
-                     .x0 = x0, .y1 = y1, .width = width, .height = height,
-                     .pixels = width * height, .hit = hit};
-    pair m[MAX_LEVELS], b = {0, 0}, t = {0, 0};
-    if (k < 1 || k > 3 || levels < 0 || levels >= MAX_LEVELS)
+    if (k < 1 || k > 3 || levels < 0 || levels >= MAX_LEVELS || bands < 1 || bands > MAX_BANDS)
         return -1;
+    struct walk s[bands];  /* the tables in each band's own cache lines */
+    pthread_t thread[bands];
+    int started[bands];
+    pair m[MAX_LEVELS], b = {0, 0}, t = {0, 0};
+    s[0] = (struct walk){.k = k, .levels = levels, .last = levels - 3,
+                         .size = {(double)width, (double)height}, .extent = {dx, dy},
+                         .x0 = x0, .y1 = y1, .width = width, .hit = hit};
     for (int d = 0; d <= levels; d++) {
         m[d] = (pair){0, 0};
         for (int a = 0; a < k; a++) {
-            s.step[d][a] = (pair){w[d * k + a][0], w[d * k + a][1]};
+            s[0].step[d][a] = (pair){w[d * k + a][0], w[d * k + a][1]};
             m[d][0] = fmax(m[d][0], fabs(w[d * k + a][0]));
             m[d][1] = fmax(m[d][1], fabs(w[d * k + a][1]));
         }
@@ -174,12 +208,25 @@ int ifs_attractor_hits(const double (*w)[2], int k, int levels,
     }
     pair slack = 4.0 * (levels + 2) * DBL_EPSILON * b + DBL_MIN;
     for (int d = levels; d >= 0; d--) {
-        s.half[d] = (t + slack) * (pair){1, -1};
+        s[0].half[d] = (t + slack) * (pair){1, -1};
         t += m[d];
     }
-    grow(&s, 0, (pair){0.0, 0.0});
-    counts[0] = s.leaves;
-    counts[1] = s.skipped;
+    for (int i = bands - 1; i >= 0; i--) {
+        long lo = i * height / bands, hi = (i + 1) * height / bands;
+        s[i] = s[0];
+        s[i].top = (double)lo, s[i].bottom = (double)hi;
+        s[i].row_lo = lo, s[i].row_hi = hi, s[i].end = hi * width;
+        started[i] = i > 0 && pthread_create(&thread[i], NULL, walk_band, &s[i]) == 0;
+    }
+    counts[0] = counts[1] = 0;
+    for (int i = 0; i < bands; i++) {
+        if (started[i])
+            pthread_join(thread[i], NULL);
+        else
+            walk_band(&s[i]);
+        counts[0] += s[i].leaves;
+        counts[1] += s[i].skipped;
+    }
     return 0;
 }
 

@@ -15,11 +15,15 @@ functions, and the caller draws ``cli._numpy_image``, which has the same bytes.
 The flags keep the arithmetic IEEE double, operation by operation:
 ``-ffp-contract=off`` forbids fused multiply-adds and ``-fno-fast-math``
 any reordering, so the kernel's sums and pixel expressions have the bits of
-numpy's.
+numpy's.  ``-pthread`` links the threads of the point walk, which walks the
+image as ``BANDS`` bands of rows at most, one thread each, and never more
+bands than the process may run CPUs or the image has rows: the image is the
+same for every band count.  The circles are drawn on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -33,7 +37,9 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_attractor.c")
-FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-pthread", "-shared", "-fPIC")
+# on 2 cores, 3 bands walk slower than 2
+BANDS = 2
 
 _DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _IMAGE = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
@@ -41,7 +47,7 @@ _D, _L = ctypes.c_double, ctypes.c_long
 _FUNCTIONS = {
     "ifs_attractor_hits": (ctypes.c_int, [
         _DOUBLES, ctypes.c_int, ctypes.c_int, _D, _D, _D, _D, _L, _L, _IMAGE,
-        np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))]),
+        np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE")), ctypes.c_int]),
     "ifs_circle_hits": (None, [
         _DOUBLES, _L, _DOUBLES, _DOUBLES, _L, _D, _D, _D, _D, _L, _L, _IMAGE, ctypes.c_ubyte]),
 }
@@ -63,19 +69,30 @@ def library_path() -> Path:
 
 def _build(path: Path):
     """Compile the source to ``path`` through a temporary file in its folder, loaded
-    by that file's name: ``dlopen`` of ``path`` would return an older handle."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=path.parent)
-    os.close(fd)
+    by that file's name: ``dlopen`` of ``path`` would return an older handle.  A
+    failed build removes the temporary file and every folder it made that is
+    still empty."""
+    made, folder = [], path.parent
+    while not folder.exists():
+        made.append(folder)
+        folder = folder.parent
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=path.parent)
+        os.close(fd)
         subprocess.run(["cc", *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
                        check=True, capture_output=True, timeout=120)
         library = _load(tmp)
         os.replace(tmp, path)
         return library
-    finally:
-        if os.path.exists(tmp):
+    except BaseException:
+        if tmp is not None and os.path.exists(tmp):
             os.remove(tmp)
+        for folder in made:  # deepest first
+            with contextlib.suppress(OSError):  # not made, or another build wrote into it
+                folder.rmdir()
+        raise
 
 
 def _load(path: Path):
@@ -100,19 +117,32 @@ def attractor_kernel():
         return None
 
 
-def attractor_image(kernel, table: np.ndarray, circles, window, width: int,
-                    height: int) -> tuple[np.ndarray, tuple[int, int]]:
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not Linux
+        return os.cpu_count() or 1
+
+
+def attractor_image(kernel, table: np.ndarray, circles, window, width: int, height: int,
+                    bands: int | None = None) -> tuple[np.ndarray, tuple[int, int]]:
     """The flat W*H uint8 image, 1 on the pixels hit by the nodes of the level
     whose ``ifs._letter_weights`` table is ``table`` in ``window`` (x0, y0,
     x1, y1), then 2 on those of the ``circles`` of ``cli._overlay_circles``,
-    else 0, with the kernel's counts of leaves walked and subtrees skipped."""
+    else 0, with the kernel's counts of leaves walked and subtrees skipped,
+    summed over the ``bands`` bands of rows the points are walked in (by
+    default ``min(BANDS, CPUs, height)``)."""
     x0, y0, x1, y1 = window
+    if bands is None:
+        bands = min(BANDS, _cpus(), height)
     img = np.zeros(height * width, dtype=np.uint8)
     counts = np.zeros(2, dtype=np.int64)
     status = kernel.ifs_attractor_hits(table.view(np.float64), table.shape[1], table.shape[0] - 1,
-                                       x0, y1, x1 - x0, y1 - y0, width, height, img, counts)
+                                       x0, y1, x1 - x0, y1 - y0, width, height, img, counts, bands)
     if status != 0:
-        raise ValueError(f"the attractor kernel refused level {table.shape[0] - 1}")
+        raise ValueError(f"the attractor kernel refused level {table.shape[0] - 1} "
+                         f"in {bands} bands")
     sx, sy = width / (x1 - x0), height / (y1 - y0)
     for centres, dx, dy in circles:
         for block in centres:

@@ -1,8 +1,8 @@
 """The compiled attractor image (``_attractor.c``, loaded by ``ifslab._native``)
-against the numpy path it replaces: the same point images and overlay
-circles bit for bit, the point walk's box counts pinned, and a loader that
-falls back to numpy, with the same bytes, whenever the library cannot be
-built or loaded."""
+against the numpy path it replaces: the same point images, in any number of
+bands of rows, and overlay circles bit for bit, the point walk's box counts
+pinned, and a loader that falls back to numpy, with the same bytes, whenever
+the library cannot be built or loaded and leaves no folder it made behind."""
 
 import importlib
 import math
@@ -42,9 +42,9 @@ def numpy_hits(lam, depth, alphabet, window, width, height):
     return cli._numpy_image(table, [], window, width, height)
 
 
-def kernel_hits(kernel, lam, depth, alphabet, window, width, height):
+def kernel_hits(kernel, lam, depth, alphabet, window, width, height, bands=None):
     table = ifs._letter_weights(complex(lam), depth, alphabet)
-    return _native.attractor_image(kernel, table, [], window, width, height)
+    return _native.attractor_image(kernel, table, [], window, width, height, bands)
 
 
 def random_case(rng):
@@ -109,17 +109,59 @@ FIXED_CASES = [
 ]
 
 
+BANDS = (1, 2, 3, 5)
+
+
 def test_kernel_hits_equal_the_numpy_path(kernel, rng):
+    # each band walks the tree once, so the leaves walked can add up to
+    # bands times the leaves of the level
     cases = FIXED_CASES + [random_case(rng) for _ in range(420)]
     skipped = 0
     for lam, depth, alphabet, window, width, height in cases:
         window = window or default_window(lam)
-        hit, (leaves, skips) = kernel_hits(kernel, lam, depth, alphabet, window, width, height)
         expected = numpy_hits(lam, depth, alphabet, window, width, height)
-        assert np.array_equal(hit, expected), (lam, depth, alphabet, window, width, height)
-        assert leaves <= len(ifs._signs(alphabet)) ** (depth + 1)
-        skipped += skips
+        for bands in BANDS:
+            hit, (leaves, skips) = kernel_hits(kernel, lam, depth, alphabet, window,
+                                               width, height, bands)
+            assert np.array_equal(hit, expected), (lam, depth, alphabet, window, width,
+                                                   height, bands)
+            assert leaves <= bands * len(ifs._signs(alphabet)) ** (depth + 1)
+            skipped += skips
     assert skipped > 0
+
+
+BAND_EDGE_CASES = [
+    # every node on row H/2, the first row of the lower of two bands
+    (0.35, 12, "ternary", None, 2000, 2000),
+    (-0.6, 10, "binary", None, 2000, 2000),
+    # images narrower than the 8-byte word of a box row, which crosses into
+    # the next row, and so into the next band, on the last row of a band
+    (0.6 + 0.25j, 9, "ternary", None, 7, 41),
+    (LANDMARK5_ROOT, 10, "ternary", None, 3, 64),
+    (0.7j, 14, "binary", None, 1, 215),
+    # one row, and fewer rows than bands
+    (LANDMARK5_ROOT, 9, "ternary", None, 300, 1),
+    (0.55 + 0.41j, 12, "binary", None, 90, 2),
+    (0.6 + 0.25j, 9, "ternary", None, 160, 3),
+    *extreme_leaf_windows(0.6 + 0.25j, 8, "ternary"),
+]
+
+
+@pytest.mark.parametrize("case", BAND_EDGE_CASES)
+def test_band_edges_keep_the_numpy_image(kernel, case):
+    lam, depth, alphabet, window, width, height = case
+    window = window or default_window(lam)
+    expected = numpy_hits(lam, depth, alphabet, window, width, height)
+    assert expected.any()
+    for bands in BANDS + (16,):
+        hit = kernel_hits(kernel, lam, depth, alphabet, window, width, height, bands)[0]
+        assert np.array_equal(hit, expected), bands
+
+
+def test_band_counts_outside_1_to_16_are_refused(kernel):
+    for bands in (0, 17):
+        with pytest.raises(ValueError, match=f"in {bands} bands"):
+            kernel_hits(kernel, 0.6 + 0.25j, 3, "ternary", (-1, -1, 1, 1), 10, 10, bands)
 
 
 @pytest.mark.parametrize("lam, depth, alphabet, window, px, counts", [
@@ -136,7 +178,20 @@ def test_kernel_hits_equal_the_numpy_path(kernel, rng):
 ])
 def test_kernel_counts(kernel, lam, depth, alphabet, window, px, counts):
     window = window or default_window(lam)
-    hit, got = kernel_hits(kernel, lam, depth, alphabet, window, *px)
+    hit, got = kernel_hits(kernel, lam, depth, alphabet, window, *px, bands=1)
+    assert got == counts
+    assert np.array_equal(hit, numpy_hits(lam, depth, alphabet, window, *px))
+
+
+@pytest.mark.parametrize("lam, depth, alphabet, window, px, counts", [
+    # sums over two bands: the rectangle walks the same leaves and skips a
+    # few more subtrees, each cut by the band boundary; the zoom walks the
+    # subtrees that straddle it in both bands
+    (GOLDEN, 22, "binary", GOLDEN_WINDOW, (400, 300), (334168, 212002)),
+    (LANDMARK5_ROOT, 14, "ternary", LANDMARK5_ZOOM, (400, 400), (40932, 940)),
+])
+def test_kernel_counts_in_two_bands(kernel, lam, depth, alphabet, window, px, counts):
+    hit, got = kernel_hits(kernel, lam, depth, alphabet, window, *px, bands=2)
     assert got == counts
     assert np.array_equal(hit, numpy_hits(lam, depth, alphabet, window, *px))
 
@@ -357,13 +412,28 @@ class TestLoader:
     def test_missing_compiler(self, tmp_path, monkeypatch):
         self.compiler(tmp_path, monkeypatch)
         assert _native.attractor_kernel() is None
+        assert not (tmp_path / "cache").exists()
         self.check_bytes(tmp_path)
 
     def test_failing_compile(self, tmp_path, monkeypatch):
+        # the build removes both folders it made, the cache home included
         self.compiler(tmp_path, monkeypatch, "echo 'cc: error' >&2; exit 1")
         assert _native.attractor_kernel() is None
-        assert os.listdir(tmp_path / "cache" / "ifslab") == []
+        assert not (tmp_path / "cache").exists()
         self.check_bytes(tmp_path)
+
+    def test_failing_compile_keeps_the_folders_it_found(self, tmp_path, monkeypatch):
+        # a cache home that exists stays, and so does a cache folder that
+        # holds other files
+        (tmp_path / "cache").mkdir()
+        self.compiler(tmp_path, monkeypatch, "exit 1")
+        assert _native.attractor_kernel() is None
+        assert os.listdir(tmp_path / "cache") == []
+        _native.attractor_kernel.cache_clear()
+        (tmp_path / "cache" / "ifslab").mkdir()
+        (tmp_path / "cache" / "ifslab" / "other").write_text("")
+        assert _native.attractor_kernel() is None
+        assert os.listdir(tmp_path / "cache" / "ifslab") == ["other"]
 
     def test_unwritable_cache_folder(self, tmp_path, monkeypatch):
         # a cache path under a regular file cannot be made, even by root
