@@ -27,14 +27,6 @@ from .series import (
     numerator_polynomial,
     overlap_set,
     rational_eval,
-    taylor_eval,
-)
-from .ifs import (
-    Word,
-    attractor_sample,
-    node,
-    overlap_itinerary,
-    selfsim_residuals,
 )
 from .paramspace import (
     escape_grid,
@@ -43,12 +35,7 @@ from .paramspace import (
 )
 from .certificate import (
     certify,
-    chain_disk,
-    condition_consecutive_overlap,
-    condition_disk_exists,
-    condition_instar_separation,
     parameter_probe,
-    periodicity_residual,
     report_from_dict,
     report_to_dict,
     selfsim_center,
@@ -56,7 +43,6 @@ from .certificate import (
     weakened_conditions,
 )
 from .landmarks import (
-    existence_margins,
     landmark,
     landmark_root,
     run_suite,
@@ -64,4 +50,42 @@ from .landmarks import (
     sector_inequalities,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BadIndices",
+    "DerivativeVanished",
+    "EnumerationTooLarge",
+    "HypothesisViolated",
+    "IfsLabError",
+    "InvalidLambda",
+    "LevelTooDeep",
+    "NoConvergence",
+    "NotARoot",
+    "ParseError",
+    "PoleAtUnity",
+    "ScaleUnderflow",
+    "UnknownLandmark",
+    "ZerosInPeriod",
+    "newton_root",
+    "poly_eval",
+    "RationalTypeSeries",
+    "coeff_at",
+    "derivative_eval",
+    "numerator_polynomial",
+    "overlap_set",
+    "rational_eval",
+    "escape_grid",
+    "membership",
+    "survivors",
+    "certify",
+    "parameter_probe",
+    "report_from_dict",
+    "report_to_dict",
+    "selfsim_center",
+    "verify_chain",
+    "weakened_conditions",
+    "landmark",
+    "landmark_root",
+    "run_suite",
+    "sector_contains",
+    "sector_inequalities",
+]

@@ -197,14 +197,6 @@ def selfsim_center(f: RationalTypeSeries, lam: complex) -> complex:
     return _chain(f, _require_root(f, lam), 0)[0]
 
 
-def chain_disk(f: RationalTypeSeries, lam: complex, n: int) -> ChainDisk:
-    """Chain disk n: the reflection of the center's level-n itinerary node
-    about the center, with the radius that makes it tangent to that node's
-    instar disk."""
-    _require_level(n)
-    return _chain(f, _require_root(f, lam), n + 1)[2][n]
-
-
 def _chain(f: RationalTypeSeries, lam: complex, count: int) -> tuple[complex, list, list[ChainDisk], list]:
     """The self-similarity center, the center's itinerary nodes and chain
     disks 0..count-1, and the one running Taylor sum f_0..f_{ell+count} they
@@ -231,30 +223,11 @@ def record_inequality(which: str, n: int, lhs: float, rhs: float, flip: bool, la
     return ConditionRecord(which, n, lhs, rhs, margin, margin > 0.0, label)
 
 
-def condition_disk_exists(f: RationalTypeSeries, lam: complex, n: int) -> ConditionRecord:
-    """|f_{ell+1+n}(lambda)| > (1/2) |lambda|^{ell+n+2} / (1 - |lambda|),
-    equivalent to chain disk n having positive radius."""
-    _require_level(n)
-    lam = _require_root(f, lam)
-    return _disk_exists(f, lam, _chain(f, lam, n + 1)[3], n)
-
-
 def _disk_exists(f: RationalTypeSeries, lam: complex, sums: list, n: int) -> ConditionRecord:
     ell = f.preperiod
     lhs = abs(sums[ell + 1 + n])
     rhs = 0.5 * ifs.nodal_radius(lam, ell + 1 + n)
     return record_inequality("i", n, lhs, rhs, flip=False)
-
-
-def condition_consecutive_overlap(
-    f: RationalTypeSeries, lam: complex, n: int
-) -> ConditionRecord:
-    """|f_{ell+1+n}| + |f_{ell+2+n}| > |lambda|^{ell+n+2} / (1 - |lambda|),
-    which implies that chain disks n and n+1 intersect; the converse holds
-    when c_{ell+2+n} != 0 (otherwise the two disks are concentric)."""
-    _require_level(n)
-    lam = _require_root(f, lam)
-    return _consecutive_overlap(f, lam, _chain(f, lam, n + 2)[3], n)
 
 
 def _consecutive_overlap(f: RationalTypeSeries, lam: complex, sums: list, n: int) -> ConditionRecord:
@@ -422,15 +395,6 @@ def weakened_conditions(
         worst = _worst_separation(f, lam, sums, kj, "single")
         records.append(replace(worst, which="w-iii", label=f"{label},{worst.label}"))
     return records
-
-
-def periodicity_residual(f: RationalTypeSeries, lam: complex, n: int) -> float:
-    """|lambda^p (omega_n - center) - (omega_{n+p} - center)|: one period of
-    the chain must be the lambda^p-scaled image of the previous one."""
-    _require_level(n)
-    lam = _require_root(f, lam)
-    z, _, disks, _ = _chain(f, lam, n + f.period + 1)
-    return _periodicity_residual(lam, f.period, z, disks[n], disks[n + f.period])
 
 
 def _periodicity_residual(

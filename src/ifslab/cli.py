@@ -312,7 +312,8 @@ def _overlay_circles(
 
     Every refusal of the overlay comes from here, before any level is walked:
     the instar level guard (``ifs.level_blocks`` checks the level when
-    called), ``chain`` without ``--series`` or at a non-root,
+    called), ``chain`` without ``--series``, with a zero periodic block or
+    at a non-root,
     MAX_CIRCLE_SAMPLES for every circle and MAX_OVERLAY_SAMPLES for all of
     them; the offsets are computed after both.  The instar centres are the
     level's nodes, walked in blocks only when the circles are drawn."""
@@ -324,6 +325,7 @@ def _overlay_circles(
     elif overlay == "chain":
         if series is None:
             raise ParseError("--overlay chain requires --series")
+        _check_series_block(series)
         try:
             lam = certificate._require_root(series, lam)
         except NotARoot:
@@ -372,6 +374,15 @@ def cmd_attractor(
     palette = np.array([(255, 255, 255), (0, 0, 0), color or (0, 0, 0)], dtype=np.uint8)
     write_ppm(out, np.take(palette, img.reshape(height, width), axis=0))
     return EXIT_OK
+
+
+def _check_series_block(series: RationalTypeSeries) -> None:
+    """ParseError for a series whose periodic block is zero, a polynomial
+    that has no chain (``certificate._check_block``)."""
+    try:
+        certificate._check_block(series)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _series_root(series: RationalTypeSeries, seed: complex) -> complex:
@@ -522,10 +533,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             series = RationalTypeSeries.parse(args.series)
             seed = _parse_complex(args.seed, "--seed")
-            try:
-                certificate._check_block(series)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from None
+            _check_series_block(series)
             _check_outputs(args.out)
             return cmd_certify(series, seed, SETS[args.set], args.out, argv)
 

@@ -1,4 +1,4 @@
-"""Words, nodes, instars and attractor sampling for the planar IFS
+"""Nodes, instars and attractor sampling for the planar IFS
 {-1 + lz, lz, 1 + lz}.
 
 A word w = a_0 ... a_k over {-1, 0, +1} indexes the node
@@ -20,12 +20,9 @@ of its numpy image (``cli._numpy_image``); its compiled image
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import LevelTooDeep
-from .series import RationalTypeSeries, _power_sums, coeff_at
 
 BINARY = "binary"
 TERNARY = "ternary"
@@ -34,23 +31,6 @@ TERNARY = "ternary"
 #: certificate clearance): 3^15 or 2^23 nodes, 230 or 134 MB as one
 #: ``level_nodes`` array; the block walks keep their memory flat.
 MAX_LEVEL = {BINARY: 22, TERNARY: 14}
-
-
-@dataclass(frozen=True)
-class Word:
-    """Finite itinerary over {-1, 0, +1}; binary words exclude 0."""
-
-    letters: tuple[int, ...]
-    binary: bool = False
-
-    def __post_init__(self):
-        if any(a not in (-1, 0, 1) for a in self.letters):
-            raise ValueError("letters must lie in {-1, 0, +1}")
-        if self.binary and any(a == 0 for a in self.letters):
-            raise ValueError("binary word contains the center letter")
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 def _signs(alphabet: str) -> tuple[int, ...]:
@@ -69,13 +49,6 @@ def _check_level(level: int, alphabet: str) -> None:
         raise LevelTooDeep(
             f"level {level} exceeds guard {MAX_LEVEL[alphabet]} for {alphabet}"
         )
-
-
-def node(word: Word, lam: complex) -> complex:
-    """nu_w = sum a_j lambda^j for the word w = a_0 a_1 ..."""
-    if len(word) == 0:
-        raise ValueError("word must be nonempty")
-    return _power_sums(word.letters, lam)[0][-1]
 
 
 #: Nodes per block of the level walks, whose blocks hold k^b nodes for the
@@ -199,81 +172,3 @@ def attractor_sample(lam: complex, depth: int, alphabet: str = BINARY) -> np.nda
     attractor point, and every attractor point is that close to a sample.
     """
     return level_nodes(lam, depth, alphabet)
-
-
-def overlap_itinerary(f: RationalTypeSeries, signs=(), length: int = 32) -> Word:
-    """Binary itinerary consistent with f: a_j = c_j wherever c_j != 0, and
-    the given +-1 choices at the zero positions (in increasing index order).
-
-    Zero positions beyond len(signs) are rejected; zero positions inside the
-    periodic block never occur for series with finite overlap.
-    """
-    signs = tuple(int(s) for s in signs)
-    if any(s not in (-1, 1) for s in signs):
-        raise ValueError("zero-position signs must be +-1")
-    letters = []
-    used = 0
-    for j in range(length):
-        c = coeff_at(f, j)
-        if c != 0:
-            letters.append(c)
-        else:
-            if used >= len(signs):
-                raise ValueError(
-                    f"series has a zero coefficient at index {j} but only "
-                    f"{len(signs)} sign choices were supplied"
-                )
-            letters.append(signs[used])
-            used += 1
-    return Word(tuple(letters), binary=True)
-
-
-@dataclass(frozen=True)
-class SelfSimilarityResidual:
-    """Deviation of one word-prefix pair from exact lambda^{-kp} similarity
-    about a common point."""
-
-    center_residual: float
-    radius_residual: float
-
-
-def selfsim_residuals(
-    f: RationalTypeSeries,
-    lam: complex,
-    center: complex,
-    word: Word,
-    n: int,
-    k: int,
-) -> SelfSimilarityResidual:
-    """Measure how exactly the nodal data of ``word`` truncated at levels
-    ell+n and ell+n+k*p scale into each other about ``center`` with factor
-    lambda^{-kp}.
-
-    center_residual = |lambda^{-kp} (nu_{w|ell+n+kp} - center) - (nu_{w|ell+n} - center)|
-    radius_residual compares the correspondingly scaled nodal-disk radii.
-
-    Both vanish (to rounding) when lambda is a root of f, the word agrees
-    with f's nonzero coefficients, and ``center`` is the induced overlap
-    point.
-    """
-    if k < 0 or n < 0:
-        raise ValueError("need n >= 0 and k >= 0")
-    ell, p = f.preperiod, f.period
-    deep = ell + n + k * p
-    if len(word) < deep + 1:
-        raise ValueError(f"word of length {len(word)} too short for level {deep}")
-    for j in range(deep + 1):
-        c = coeff_at(f, j)
-        if c != 0 and word.letters[j] != c:
-            raise ValueError(
-                f"word disagrees with series coefficient at index {j}"
-            )
-    lam = complex(lam)
-    nodes = _power_sums(word.letters[: deep + 1], lam)[0]
-    shallow_node, deep_node = nodes[ell + n], nodes[deep]
-    scale = lam ** (-k * p)
-    center_residual = abs(scale * (deep_node - center) - (shallow_node - center))
-    radius_residual = abs(
-        abs(scale) * nodal_radius(lam, deep) - nodal_radius(lam, ell + n)
-    )
-    return SelfSimilarityResidual(center_residual, radius_residual)

@@ -23,18 +23,15 @@ from dataclasses import dataclass
 from .certificate import (
     VERDICT_ACCESSIBLE_M,
     ConditionRecord,
-    _require_root,
     certify,
     parameter_probe,
     record_inequality,
 )
 from .errors import UnknownLandmark
-from .ifs import nodal_radius
 from .numerics import newton_root
 from .paramspace import membership
 from .series import (
     RationalTypeSeries,
-    _taylor_sums,
     numerator_polynomial,
     overlap_set,
     rational_eval,
@@ -114,20 +111,6 @@ def sector_inequalities(lam: complex) -> list[ConditionRecord]:
         record_inequality("c", 0, a, abs(2.0 - z), flip=True),
         record_inequality("d", 0, 2.0 * a, abs(3.0 - z), flip=True),
         record_inequality("e", 0, 2.0 * a, abs(1.0 + z), flip=True),
-    ]
-
-
-def existence_margins(f: RationalTypeSeries, lam: complex) -> list[ConditionRecord]:
-    """Records 2|f_n(lambda)| > |lambda|^{n+1}/(1-|lambda|) for n = 0..p-1.
-
-    For a preperiod-zero series these are the chain-disk existence conditions
-    shifted by one period, so all of them passing guarantees every chain disk
-    exists.
-    """
-    lam = _require_root(f, lam)
-    return [
-        record_inequality("exist", n, 2.0 * abs(fn), nodal_radius(lam, n), flip=False)
-        for n, fn in enumerate(_taylor_sums(f, lam, f.period - 1))
     ]
 
 

@@ -163,12 +163,6 @@ def _taylor_sums(f: RationalTypeSeries, lam: complex, k: int) -> list[complex]:
     return _power_sums([coeff_at(f, j) for j in range(k + 1)], lam)[0]
 
 
-def taylor_eval(f: RationalTypeSeries, lam: complex, k: int) -> complex:
-    """Degree-k Taylor polynomial f_k(lambda) = sum_{j<=k} c_j lambda^j."""
-    sums = _taylor_sums(f, lam, k)
-    return sums[-1] if sums else complex(0.0)
-
-
 def _check_pole(f: RationalTypeSeries, lam: complex) -> complex:
     den = 1.0 - lam**f.period
     if abs(den) < 1e-14:

@@ -1,13 +1,17 @@
-"""Independent brute-force oracles used to validate the fast paths."""
+"""Independent brute-force oracles used to validate the fast paths, and the
+helpers that only tests call: words, their nodes and self-similarity
+residuals, Taylor values, and one checked certificate quantity per call."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from ifslab.certificate import ChainDisk, chain_disk
+from ifslab import certificate
+from ifslab.certificate import ChainDisk, ConditionRecord, record_inequality
 from ifslab.ifs import nodal_radius
 from ifslab.paramspace import PRUNE_GUARD
-from ifslab.series import taylor_eval
+from ifslab.series import RationalTypeSeries, coeff_at
 
 
 def grow_nodes_broadcast(
@@ -320,3 +324,177 @@ def attractor_ppm(lam, depth, alphabet, window, width, height,
                 draw_circle(rgb, window, disk.center.real, disk.center.imag,
                             disk.radius, (0, 160, 0))
     return f"P6\n{width} {height}\n255\n".encode("ascii") + rgb.tobytes()
+
+
+def power_sums(coeffs, lam: complex) -> list[complex]:
+    """Partial sums of c_j lambda^j over ``coeffs``, left to right with a
+    running power: the order of the package's one running sum, so each has
+    its bits."""
+    acc, power, sums = complex(0.0), complex(1.0), []
+    for c in coeffs:
+        acc += c * power
+        power *= lam
+        sums.append(acc)
+    return sums
+
+
+def taylor_eval(f: RationalTypeSeries, lam: complex, k: int) -> complex:
+    """Degree-k Taylor polynomial f_k(lambda) = sum_{j<=k} c_j lambda^j."""
+    sums = power_sums([coeff_at(f, j) for j in range(k + 1)], lam)
+    return sums[-1] if sums else complex(0.0)
+
+
+@dataclass(frozen=True)
+class Word:
+    """Finite itinerary over {-1, 0, +1}; binary words exclude 0."""
+
+    letters: tuple[int, ...]
+    binary: bool = False
+
+    def __post_init__(self):
+        if any(a not in (-1, 0, 1) for a in self.letters):
+            raise ValueError("letters must lie in {-1, 0, +1}")
+        if self.binary and any(a == 0 for a in self.letters):
+            raise ValueError("binary word contains the center letter")
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+
+def node(word: Word, lam: complex) -> complex:
+    """nu_w = sum a_j lambda^j for the word w = a_0 a_1 ..."""
+    if len(word) == 0:
+        raise ValueError("word must be nonempty")
+    return power_sums(word.letters, lam)[-1]
+
+
+def overlap_itinerary(f: RationalTypeSeries, signs=(), length: int = 32) -> Word:
+    """Binary itinerary consistent with f: a_j = c_j wherever c_j != 0, and
+    the given +-1 choices at the zero positions (in increasing index order).
+
+    Zero positions beyond len(signs) are rejected; zero positions inside the
+    periodic block never occur for series with finite overlap.
+    """
+    signs = tuple(int(s) for s in signs)
+    if any(s not in (-1, 1) for s in signs):
+        raise ValueError("zero-position signs must be +-1")
+    letters = []
+    used = 0
+    for j in range(length):
+        c = coeff_at(f, j)
+        if c != 0:
+            letters.append(c)
+        else:
+            if used >= len(signs):
+                raise ValueError(
+                    f"series has a zero coefficient at index {j} but only "
+                    f"{len(signs)} sign choices were supplied"
+                )
+            letters.append(signs[used])
+            used += 1
+    return Word(tuple(letters), binary=True)
+
+
+@dataclass(frozen=True)
+class SelfSimilarityResidual:
+    """Deviation of one word-prefix pair from exact lambda^{-kp} similarity
+    about a common point."""
+
+    center_residual: float
+    radius_residual: float
+
+
+def selfsim_residuals(
+    f: RationalTypeSeries,
+    lam: complex,
+    center: complex,
+    word: Word,
+    n: int,
+    k: int,
+) -> SelfSimilarityResidual:
+    """Measure how exactly the nodal data of ``word`` truncated at levels
+    ell+n and ell+n+k*p scale into each other about ``center`` with factor
+    lambda^{-kp}.
+
+    center_residual = |lambda^{-kp} (nu_{w|ell+n+kp} - center) - (nu_{w|ell+n} - center)|
+    radius_residual compares the correspondingly scaled nodal-disk radii.
+
+    Both vanish (to rounding) when lambda is a root of f, the word agrees
+    with f's nonzero coefficients, and ``center`` is the induced overlap
+    point.
+    """
+    if k < 0 or n < 0:
+        raise ValueError("need n >= 0 and k >= 0")
+    ell, p = f.preperiod, f.period
+    deep = ell + n + k * p
+    if len(word) < deep + 1:
+        raise ValueError(f"word of length {len(word)} too short for level {deep}")
+    for j in range(deep + 1):
+        c = coeff_at(f, j)
+        if c != 0 and word.letters[j] != c:
+            raise ValueError(
+                f"word disagrees with series coefficient at index {j}"
+            )
+    lam = complex(lam)
+    nodes = power_sums(word.letters[: deep + 1], lam)
+    shallow_node, deep_node = nodes[ell + n], nodes[deep]
+    scale = lam ** (-k * p)
+    center_residual = abs(scale * (deep_node - center) - (shallow_node - center))
+    radius_residual = abs(
+        abs(scale) * nodal_radius(lam, deep) - nodal_radius(lam, ell + n)
+    )
+    return SelfSimilarityResidual(center_residual, radius_residual)
+
+
+# One checked call per certificate quantity: the level, then the root, then
+# one table of ``certificate._chain``, from which the record that
+# ``certificate.certify`` builds for that quantity is read.
+
+def chain_disk(f: RationalTypeSeries, lam: complex, n: int) -> ChainDisk:
+    """Chain disk n: the reflection of the center's level-n itinerary node
+    about the center, with the radius that makes it tangent to that node's
+    instar disk."""
+    certificate._require_level(n)
+    return certificate._chain(f, certificate._require_root(f, lam), n + 1)[2][n]
+
+
+def condition_disk_exists(f: RationalTypeSeries, lam: complex, n: int) -> ConditionRecord:
+    """|f_{ell+1+n}(lambda)| > (1/2) |lambda|^{ell+n+2} / (1 - |lambda|),
+    equivalent to chain disk n having positive radius."""
+    certificate._require_level(n)
+    lam = certificate._require_root(f, lam)
+    return certificate._disk_exists(f, lam, certificate._chain(f, lam, n + 1)[3], n)
+
+
+def condition_consecutive_overlap(
+    f: RationalTypeSeries, lam: complex, n: int
+) -> ConditionRecord:
+    """|f_{ell+1+n}| + |f_{ell+2+n}| > |lambda|^{ell+n+2} / (1 - |lambda|),
+    which implies that chain disks n and n+1 intersect; the converse holds
+    when c_{ell+2+n} != 0 (otherwise the two disks are concentric)."""
+    certificate._require_level(n)
+    lam = certificate._require_root(f, lam)
+    return certificate._consecutive_overlap(f, lam, certificate._chain(f, lam, n + 2)[3], n)
+
+
+def periodicity_residual(f: RationalTypeSeries, lam: complex, n: int) -> float:
+    """|lambda^p (omega_n - center) - (omega_{n+p} - center)|: one period of
+    the chain must be the lambda^p-scaled image of the previous one."""
+    certificate._require_level(n)
+    lam = certificate._require_root(f, lam)
+    z, _, disks, _ = certificate._chain(f, lam, n + f.period + 1)
+    return certificate._periodicity_residual(lam, f.period, z, disks[n], disks[n + f.period])
+
+
+def existence_margins(f: RationalTypeSeries, lam: complex) -> list[ConditionRecord]:
+    """Records 2|f_n(lambda)| > |lambda|^{n+1}/(1-|lambda|) for n = 0..p-1.
+
+    For a preperiod-zero series these are the chain-disk existence conditions
+    shifted by one period, so all of them passing guarantees every chain disk
+    exists.
+    """
+    lam = certificate._require_root(f, lam)
+    return [
+        record_inequality("exist", n, 2.0 * abs(fn), nodal_radius(lam, n), flip=False)
+        for n, fn in enumerate(power_sums([coeff_at(f, j) for j in range(f.period)], lam))
+    ]

@@ -8,28 +8,30 @@ import time
 import numpy as np
 
 from ifslab import (
-    attractor_sample,
     certify,
-    condition_instar_separation,
     escape_grid,
     landmark,
     membership,
     newton_root,
     numerator_polynomial,
-    overlap_itinerary,
     overlap_set,
-    periodicity_residual,
     selfsim_center,
-    selfsim_residuals,
     sector_contains,
     sector_inequalities,
     verify_chain,
 )
+from ifslab.certificate import condition_instar_separation
 from ifslab.cli import cmd_render
-from ifslab.landmarks import existence_margins
+from ifslab.ifs import attractor_sample
 
 from conftest import random_lambda
-from oracles import exhaustive_verdict
+from oracles import (
+    exhaustive_verdict,
+    existence_margins,
+    overlap_itinerary,
+    periodicity_residual,
+    selfsim_residuals,
+)
 
 REFERENCE_VALUES = {
     1: 0.5957439 + 0.2544259j,

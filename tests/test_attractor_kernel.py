@@ -21,7 +21,7 @@ from ifslab.cli import cmd_attractor, main
 from ifslab.numerics import newton_root
 from ifslab.series import RationalTypeSeries, numerator_polynomial
 from conftest import random_lambda
-from oracles import attractor_ppm
+from oracles import attractor_ppm, chain_disk
 
 LANDMARK5_ROOT = newton_root(numerator_polynomial(RationalTypeSeries.parse("1;1,1,-1")),
                              -0.37 + 0.52j)
@@ -288,7 +288,7 @@ def test_compiled_chain_circles_equal_the_numpy_path(kernel, rng, landmark, peri
     # self-similarity, where the disks of later periods lie
     series = RationalTypeSeries.parse(landmark[0])
     lam = cli._series_root(series, landmark[1])
-    disk = ifslab.certificate.chain_disk(series, lam, 0)
+    disk = chain_disk(series, lam, 0)
     centre = ifslab.certificate.selfsim_center(series, lam)
     edge = disk.center + disk.radius
     windows = [default_window(lam),

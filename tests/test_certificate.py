@@ -13,15 +13,10 @@ from ifslab import (
     NotARoot,
     RationalTypeSeries,
     certify,
-    chain_disk,
-    condition_consecutive_overlap,
-    condition_disk_exists,
-    condition_instar_separation,
     membership,
     newton_root,
     numerator_polynomial,
     parameter_probe,
-    periodicity_residual,
     report_from_dict,
     report_to_dict,
     selfsim_center,
@@ -33,13 +28,22 @@ from ifslab.certificate import (
     _band,
     _instar_clearance,
     _worst_separation,
+    condition_instar_separation,
     record_inequality,
 )
 from ifslab.ifs import BINARY, TERNARY, level_blocks, level_nodes, nodal_radius
-from ifslab.series import coeff_at, derivative_eval, taylor_eval
+from ifslab.series import coeff_at, derivative_eval
 
 from conftest import random_rooted_series
-from oracles import chain_disk_taylor, instar_clearance_full
+from oracles import (
+    chain_disk,
+    chain_disk_taylor,
+    condition_consecutive_overlap,
+    condition_disk_exists,
+    instar_clearance_full,
+    periodicity_residual,
+    taylor_eval,
+)
 
 
 class TestSelfSimCenter:
@@ -639,8 +643,6 @@ class TestOneExpression:
 
     @staticmethod
     def _count_tables(monkeypatch):
-        # both bindings: the certificate's own, and the one series.taylor_eval
-        # would sum with
         tables = []
         build = series._taylor_sums
 
@@ -649,7 +651,6 @@ class TestOneExpression:
             return build(*args)
 
         monkeypatch.setattr(certificate, "_taylor_sums", counted)
-        monkeypatch.setattr(series, "_taylor_sums", counted)
         return tables
 
     @pytest.mark.parametrize("target", ["M", "M0"])

@@ -417,6 +417,10 @@ class TestAttractor:
         # an empty --series is a series to parse, not an absent one
         "empty-series": (["--series", ""], 2),
         "chain-empty-series": (["--overlay", "chain", "--series", ""], 2),
+        # a zero periodic block: f = 1 + z - z^2 is a polynomial, which has no
+        # chain, as certify refuses it; the seed lands on the root -0.618
+        "chain-zero-block": (["--seed=-0.6,0.01", "--overlay", "chain",
+                              "--series", "1,1,-1;0"], 2),
     }
 
     @pytest.fixture

@@ -4,18 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from ifslab import (
-    LevelTooDeep,
-    RationalTypeSeries,
+from ifslab import LevelTooDeep, RationalTypeSeries
+from ifslab import ifs
+from ifslab.ifs import MAX_LEVEL, attractor_sample, level_blocks, level_nodes, nodal_radius
+from oracles import (
     Word,
-    attractor_sample,
+    level_chunks_broadcast,
+    level_nodes_broadcast,
     node,
     overlap_itinerary,
     selfsim_residuals,
 )
-from ifslab import ifs
-from ifslab.ifs import MAX_LEVEL, level_blocks, level_nodes, nodal_radius
-from oracles import level_chunks_broadcast, level_nodes_broadcast
 
 LAM_RECT = 1j / math.sqrt(2)
 

@@ -7,7 +7,6 @@ from ifslab import (
     NotARoot,
     RationalTypeSeries,
     UnknownLandmark,
-    existence_margins,
     landmark,
     landmark_root,
     rational_eval,
@@ -16,6 +15,8 @@ from ifslab import (
     sector_inequalities,
 )
 from ifslab.landmarks import evaluate_landmark
+
+from oracles import existence_margins
 
 REFERENCE_VALUES = {
     1: 0.5957439 + 0.2544259j,

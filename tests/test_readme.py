@@ -2,16 +2,19 @@
 
 The tour is executed and the claims in its comments are checked; each
 ``ifslab ...`` line of the command block (``\\`` continuations joined) runs
-through ``cli.main`` and must exit 0."""
+through ``cli.main`` and must exit 0.  The package's ``__all__`` holds every
+name the tour uses."""
 
 import contextlib
 import io
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import ifslab
 from ifslab.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -45,6 +48,20 @@ def test_library_tour_runs_and_its_comments_hold():
     for expression, comment in probes:
         # str() reads "<set>:depth<depth>:<state>"
         assert str(eval(expression, namespace)).endswith(":" + comment.strip())
+
+
+def test_all_is_the_public_surface_and_holds_the_tour():
+    exported = ifslab.__all__
+    for name in exported:
+        getattr(ifslab, name)
+    tour = _block("## Library tour", "```python")
+    assert set(re.findall(r"\bL\.(\w+)", tour)) <= set(exported)
+    # one entry per name, and every public name the package binds, its
+    # submodules aside, is listed
+    bound = {name for name, value in vars(ifslab).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(exported)) == len(exported)
+    assert set(exported) == bound
 
 
 # each id is the line's whole argument list, so adding a line renames no test

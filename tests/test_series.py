@@ -12,13 +12,12 @@ from ifslab import (
     overlap_set,
     poly_eval,
     rational_eval,
-    taylor_eval,
 )
 from ifslab import series
 from ifslab.numerics import poly_derivative_eval
 
 from conftest import random_lambda, random_rooted_series
-from oracles import derivative_closed_form
+from oracles import derivative_closed_form, taylor_eval
 
 
 class TestConstruction:
